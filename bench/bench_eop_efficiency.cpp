@@ -5,13 +5,14 @@
 // Fokker-Planck collision operator is included (collisions roughly double
 // the cost); the Navier-Stokes comparator of reference [12] sits at ~1e7.
 //
-// Two execution paths are reported side by side: the scalar one-cell-at-a-
-// time kernels (batch_lanes = 1) and the SIMD-batched AoSoA path
-// (batch_lanes = auto, the production default). The two are bitwise
+// Two lane counts of the one generated kernel family are reported side by
+// side: one cell per kernel call (batch_lanes = 1) and the widest AoSoA
+// block (batch_lanes = auto, the production default). The two are bitwise
 // identical in results (tests/test_batch.cpp), so the speedup column is a
-// pure execution-efficiency measurement. Columns: collisionless, +BGK
-// relaxation, +LBO (the drag+diffusion operator class the paper's
-// collision figure actually refers to).
+// pure execution-efficiency measurement; the JSON keys keep their
+// "scalar"/"batched" names, which the baseline guard reads. Columns:
+// collisionless, +BGK relaxation, +LBO (the drag+diffusion operator class
+// the paper's collision figure actually refers to).
 // Machine-readable output: BENCH_eop.json, archived by CI and guarded by
 // tools/compare_bench_eop.py against bench/baselines/.
 
@@ -86,7 +87,7 @@ int main() {
     return best;
   };
 
-  // Scalar path (pre-batching code path, kept bit-identical).
+  // One cell per kernel call (B = 1 blocks).
   up.setBatchLanes(1);
   lbo.setBatchLanes(1);
   const double tVlasovScalar = time([&] { up.advance(f, &em, rhs); });
@@ -95,7 +96,7 @@ int main() {
     lbo.advance(f, rhs);
   });
 
-  // Batched AoSoA path (auto lane count, the production default;
+  // Widest AoSoA blocks (auto lane count, the production default;
   // VDG_BENCH_BATCH_LANES overrides for lane-count experiments).
   int laneReq = 0;
   if (const char* e = std::getenv("VDG_BENCH_BATCH_LANES")) laneReq = std::atoi(e);
@@ -126,10 +127,10 @@ int main() {
   });
 
   std::printf("E4: Eop = DOFs updated per second per core (2X3V p2 Serendipity, Np=%d)\n\n", np);
-  std::printf("%-38s %12.3e DOF/s/core\n", "Vlasov-Maxwell, scalar kernels", dofs / tVlasovScalar);
-  std::printf("%-38s %12.3e DOF/s/core  (B=%d)\n", "Vlasov-Maxwell, batched kernels",
+  std::printf("%-38s %12.3e DOF/s/core\n", "Vlasov-Maxwell, B=1 kernels", dofs / tVlasovScalar);
+  std::printf("%-38s %12.3e DOF/s/core  (B=%d)\n", "Vlasov-Maxwell, auto-lane kernels",
               dofs / tVlasov, lanes);
-  std::printf("%-38s %12.2fx\n", "batched / scalar speedup", tVlasovScalar / tVlasov);
+  std::printf("%-38s %12.2fx\n", "auto-lane / B=1 speedup", tVlasovScalar / tVlasov);
   std::printf("%-38s %12.3e DOF/s/core  (overhead %+.2f%%)\n",
               "Vlasov-Maxwell, profiler enabled", dofs / tVlasovProfiled,
               100.0 * (tVlasovProfiled / tVlasov - 1.0));

@@ -364,10 +364,10 @@ class Simulation::Builder {
   /// gives this simulation a dedicated pool of n threads (1 = serial).
   Builder& threads(int n);
   /// SIMD batch width for the Vlasov/LBO hot loops: 0 (default) picks the
-  /// largest batched kernel set the registry offers for the spec; 1 forces
-  /// the scalar cell loops (today's code path, bit-for-bit); 4/8 request a
-  /// specific lane count. The batched path is bitwise identical to scalar,
-  /// so this knob only trades execution schedule — see dg/batch.hpp.
+  /// largest lane count the registry offers for the spec; 1, 4 or 8
+  /// request that lane count (1 = one cell per kernel call). Every lane
+  /// count is bitwise identical, so this knob only trades execution
+  /// schedule — see dg/batch.hpp.
   Builder& batchLanes(int lanes);
   /// Communication endpoint for boundary sync and the CFL reduction
   /// (non-owning; must outlive the simulation). Default: the shared

@@ -25,8 +25,8 @@ void forEachIdx(int nd, const int* hi, Fn fn) {
   forEachIndexInRange(nd, hi, 0, boxSize(nd, hi), fn);
 }
 
-/// Upper bound on the supported batch lane counts (sizes per-lane scratch).
-constexpr int kMaxLanes = 8;
+/// Upper bound on the supported lane counts (sizes per-lane scratch).
+constexpr int kMaxLanes = kKernelBatchLanes[kNumKernelBatchLanes - 1];
 
 }  // namespace
 
@@ -170,19 +170,13 @@ double LboUpdater::apply(const Field& f, const Field& u, const Field& vtSq, Fiel
     // g2). e2 is a transient eta^2-product slot.
     std::vector<double> wBuf(correct ? nvel * static_cast<std::size_t>((vdim_ + 1) * np) : 0);
     std::vector<double> e2(static_cast<std::size_t>(np));
-    // SIMD-batched volume-loop scratch: AoSoA blocks of B velocity cells
-    // run through the batched tape executors of dg/batch.hpp. Bitwise
-    // identical to the scalar loop per cell (see batch.hpp); leftover
-    // cells when nvel % B != 0 take the scalar path. A velocity box that
-    // cannot fill one block runs fully scalar (no block setup).
+    // Volume-loop scratch: AoSoA blocks of B velocity cells run through
+    // the blocked tape executors of dg/batch.hpp (bitwise identical per
+    // cell at every width, see batch.hpp). The cells left over when
+    // nvel % B != 0 run as one narrower block.
     const int B = activeBatchLanes();
-    const bool batched = B > 1 && nvel >= static_cast<std::size_t>(B);
-    BatchBuffer fBlk, incBlk, ajBlk;
-    if (batched) {
-      fBlk.resize(static_cast<std::size_t>(np) * B);
-      incBlk.resize(static_cast<std::size_t>(np) * B);
-      if (drag) ajBlk.resize(static_cast<std::size_t>(np) * B);
-    }
+    const auto blk = static_cast<std::size_t>(np) * static_cast<std::size_t>(B);
+    BatchBuffer fBlk(blk), incBlk(blk), ajBlk(drag ? blk : 0);
     std::array<MultiIndex, kMaxLanes> laneIdx;
     std::array<std::size_t, kMaxLanes> laneLin{};
     std::array<const double*, kMaxLanes> lanePtr{};
@@ -230,9 +224,9 @@ double LboUpdater::apply(const Field& f, const Field& u, const Field& vtSq, Fiel
       // ------------------------------------------------------- volume
       double dragFreq = 0.0;  // max over velocity cells of sum_j |alpha|/dv_j
 
-      // Per-lane drag expansion build (shared by both paths): fills the
-      // cell's alphaBuf slot — the surface sweep reads it later — and
-      // returns the cell's CFL frequency contribution.
+      // Per-lane drag expansion build: fills the cell's alphaBuf slot —
+      // the surface sweep reads it later — and returns the cell's CFL
+      // frequency contribution.
       const auto buildDragAlpha = [&](const MultiIndex& idx, std::size_t vlin) {
         double* al = alphaBuf.data() + vlin * static_cast<std::size_t>(vdim_ * np);
         double cellFreq = 0.0;
@@ -253,93 +247,56 @@ double LboUpdater::apply(const Field& f, const Field& u, const Field& vtSq, Fiel
         return cellFreq;
       };
 
-      // Scalar volume update of one velocity cell (the pre-batching code
-      // path, verbatim; also the remainder path below).
-      const auto scalarVolCell = [&](const MultiIndex& idx, std::size_t vlin) {
-        const std::span<const double> fc = f.cell(idx);
-        const std::span<double> ic(inc.data() + vlin * static_cast<std::size_t>(np),
-                                   static_cast<std::size_t>(np));
-        if (drag) {
-          double* al = alphaBuf.data() + vlin * static_cast<std::size_t>(vdim_ * np);
-          dragFreq = std::max(dragFreq, buildDragAlpha(idx, vlin));
-          for (int j = 0; j < vdim_; ++j) {
-            const int d = cdim_ + j;
-            const std::span<const double> ajs(al + static_cast<std::size_t>(j) * np,
-                                              static_cast<std::size_t>(np));
-            ks.volume[static_cast<std::size_t>(d)].execute(ajs, fc, ic,
-                                                           rdx2[static_cast<std::size_t>(j)]);
-          }
-        }
-        if (diff) {
-          for (int j = 0; j < vdim_; ++j)
-            diffVol_[static_cast<std::size_t>(j)].execute(
-                dPhase, fc, ic,
-                rdx2[static_cast<std::size_t>(j)] * rdx2[static_cast<std::size_t>(j)]);
-        }
-      };
-
-      // Batched volume update of B velocity cells (laneIdx/laneLin[0..B)):
-      // same tape terms in the same per-lane order, run as AoSoA lane loops.
-      const auto batchVolBlock = [&]() {
-        for (int b = 0; b < B; ++b)
+      // Volume update of the n velocity cells laneIdx/laneLin[0..n), n <= B:
+      // the tape terms in the same per-lane order, run as AoSoA lane loops.
+      const auto volBlock = [&](int n) {
+        for (int b = 0; b < n; ++b)
           lanePtr[static_cast<std::size_t>(b)] = f.at(laneIdx[static_cast<std::size_t>(b)]);
-        packLanes(B, np, lanePtr.data(), fBlk.data());
-        zeroLanes(B, np, incBlk.data());
+        packLanes(n, np, lanePtr.data(), fBlk.data());
+        zeroLanes(n, np, incBlk.data());
         if (drag) {
-          for (int b = 0; b < B; ++b)
+          for (int b = 0; b < n; ++b)
             dragFreq = std::max(dragFreq, buildDragAlpha(laneIdx[static_cast<std::size_t>(b)],
                                                          laneLin[static_cast<std::size_t>(b)]));
           for (int j = 0; j < vdim_; ++j) {
-            for (int b = 0; b < B; ++b)
+            for (int b = 0; b < n; ++b)
               lanePtr[static_cast<std::size_t>(b)] =
                   alphaBuf.data() +
                   laneLin[static_cast<std::size_t>(b)] * static_cast<std::size_t>(vdim_ * np) +
                   static_cast<std::size_t>(j) * np;
-            packLanes(B, np, lanePtr.data(), ajBlk.data());
-            executeBatched(ks.volume[static_cast<std::size_t>(cdim_ + j)], B, ajBlk.data(),
+            packLanes(n, np, lanePtr.data(), ajBlk.data());
+            executeBatched(ks.volume[static_cast<std::size_t>(cdim_ + j)], n, ajBlk.data(),
                            fBlk.data(), incBlk.data(), rdx2[static_cast<std::size_t>(j)]);
           }
         }
         if (diff) {
           for (int j = 0; j < vdim_; ++j)
-            executeBatchedSharedA(diffVol_[static_cast<std::size_t>(j)], B, dPhase.data(),
+            executeBatchedSharedA(diffVol_[static_cast<std::size_t>(j)], n, dPhase.data(),
                                   fBlk.data(), incBlk.data(),
                                   rdx2[static_cast<std::size_t>(j)] *
                                       rdx2[static_cast<std::size_t>(j)]);
         }
         // Volume is the first contribution to each inc slot (inc was just
         // zero-filled), so the block scatter overwrites.
-        for (int b = 0; b < B; ++b)
+        for (int b = 0; b < n; ++b)
           laneOut[static_cast<std::size_t>(b)] =
               inc.data() + laneLin[static_cast<std::size_t>(b)] * static_cast<std::size_t>(np);
-        scatterLanes(B, np, incBlk.data(), laneOut.data());
+        scatterLanes(n, np, incBlk.data(), laneOut.data());
       };
 
       std::size_t vlin = 0;
-      if (batched) {
-        int lane = 0;
-        forEachIdx(vdim_, velHi, [&](const MultiIndex& vi) {
-          MultiIndex idx = ci;
-          for (int j = 0; j < vdim_; ++j) idx[cdim_ + j] = vi[j];
-          laneIdx[static_cast<std::size_t>(lane)] = idx;
-          laneLin[static_cast<std::size_t>(lane)] = vlin;
-          ++lane;
-          ++vlin;
-          if (lane == B) {
-            batchVolBlock();
-            lane = 0;
-          }
-        });
-        for (int b = 0; b < lane; ++b)
-          scalarVolCell(laneIdx[static_cast<std::size_t>(b)], laneLin[static_cast<std::size_t>(b)]);
-      } else {
-        forEachIdx(vdim_, velHi, [&](const MultiIndex& vi) {
-          MultiIndex idx = ci;
-          for (int j = 0; j < vdim_; ++j) idx[cdim_ + j] = vi[j];
-          scalarVolCell(idx, vlin);
-          ++vlin;
-        });
-      }
+      int lane = 0;
+      forEachIdx(vdim_, velHi, [&](const MultiIndex& vi) {
+        MultiIndex& idx = laneIdx[static_cast<std::size_t>(lane)];
+        idx = ci;
+        for (int j = 0; j < vdim_; ++j) idx[cdim_ + j] = vi[j];
+        laneLin[static_cast<std::size_t>(lane)] = vlin++;
+        if (++lane == B) {
+          volBlock(B);
+          lane = 0;
+        }
+      });
+      if (lane > 0) volBlock(lane);
       freq += dragFreq;
 
       // ------------------------------------------------------ surface

@@ -95,20 +95,20 @@ class LboUpdater {
     prim_->setExecutor(exec);
   }
 
-  /// SIMD batch width for the per-velocity-cell volume loops (drag +
-  /// diffusion), executed through the batched tape executors of
+  /// Lane count for the per-velocity-cell volume loops (drag +
+  /// diffusion), executed through the blocked tape executors of
   /// dg/batch.hpp: 0 = auto (largest kKernelBatchLanes entry, the
-  /// default), 1 = scalar cell loop. Bitwise identical either way — the
-  /// knob exists for A/B benchmarking and bisection.
+  /// default) or a kKernelBatchLanes entry; other requests fall back to 1.
+  /// Bitwise identical at every width — the knob exists for A/B
+  /// benchmarking and bisection.
   void setBatchLanes(int lanes) { batchLanes_ = lanes; }
 
   /// The lane count apply() actually blocks the volume loops with.
   [[nodiscard]] int activeBatchLanes() const {
-    if (batchLanes_ == 1) return 1;
-    if (batchLanes_ != 0) return batchLanes_;
-    int best = 1;
-    for (int b : kKernelBatchLanes) best = std::max(best, b);
-    return best;
+    if (batchLanes_ == 0) return kKernelBatchLanes[kNumKernelBatchLanes - 1];
+    for (const int b : kKernelBatchLanes)
+      if (b == batchLanes_) return b;
+    return 1;
   }
 
  private:

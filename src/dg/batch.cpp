@@ -3,9 +3,10 @@
 namespace vdg {
 
 // Every entry point dispatches the lane count to a compile-time template
-// instantiation for the registry's supported lane counts (4, 8) so the
-// inner lane loops have constant trip counts the compiler fully
-// vectorizes; other counts take the runtime-B fallback.
+// instantiation for the registry's lane counts (1, 4, 8) so the inner lane
+// loops have constant trip counts the compiler fully vectorizes (or, at
+// B = 1, drops); other counts, such as the partial-width LBO remainder
+// block, take the runtime-B fallback.
 
 namespace {
 
@@ -111,6 +112,7 @@ void tape2Impl(const Tape2& tape, const double* __restrict in, double* __restric
 
 void packLanes(int B, int n, const double* const* src, double* dst) {
   switch (B) {
+    case 1: packImpl<1>(n, src, dst); return;
     case 4: packImpl<4>(n, src, dst); return;
     case 8: packImpl<8>(n, src, dst); return;
     default:
@@ -126,6 +128,7 @@ void zeroLanes(int B, int n, double* dst) {
 
 void scatterLanes(int B, int n, const double* src, double* const* dst) {
   switch (B) {
+    case 1: scatterImpl<1>(n, src, dst); return;
     case 4: scatterImpl<4>(n, src, dst); return;
     case 8: scatterImpl<8>(n, src, dst); return;
     default:
@@ -136,6 +139,7 @@ void scatterLanes(int B, int n, const double* src, double* const* dst) {
 
 void scatterAddLanes(int B, int n, const double* src, double* const* dst) {
   switch (B) {
+    case 1: scatterAddImpl<1>(n, src, dst); return;
     case 4: scatterAddImpl<4>(n, src, dst); return;
     case 8: scatterAddImpl<8>(n, src, dst); return;
     default:
@@ -147,6 +151,7 @@ void scatterAddLanes(int B, int n, const double* src, double* const* dst) {
 void executeBatched(const Tape3& tape, int B, const double* a, const double* f, double* out,
                     double scale) {
   switch (B) {
+    case 1: tape3Impl<1>(tape, a, f, out, scale); return;
     case 4: tape3Impl<4>(tape, a, f, out, scale); return;
     case 8: tape3Impl<8>(tape, a, f, out, scale); return;
     default:
@@ -161,6 +166,7 @@ void executeBatched(const Tape3& tape, int B, const double* a, const double* f, 
 void executeBatchedSharedA(const Tape3& tape, int B, const double* a, const double* f,
                            double* out, double scale) {
   switch (B) {
+    case 1: tape3SharedAImpl<1>(tape, a, f, out, scale); return;
     case 4: tape3SharedAImpl<4>(tape, a, f, out, scale); return;
     case 8: tape3SharedAImpl<8>(tape, a, f, out, scale); return;
     default:
@@ -175,6 +181,7 @@ void buildAccelBatched(const VlasovKernelSet& ks, const Grid& grid, double qbym,
                        const MultiIndex* laneIdx, int B, const AccelWorkspace& ws,
                        double* alphaBlk) {
   switch (B) {
+    case 1: buildAccelImpl<1>(ks, grid, qbym, laneIdx, ws, alphaBlk); return;
     case 4: buildAccelImpl<4>(ks, grid, qbym, laneIdx, ws, alphaBlk); return;
     case 8: buildAccelImpl<8>(ks, grid, qbym, laneIdx, ws, alphaBlk); return;
     default:
@@ -190,6 +197,7 @@ void buildAccelBatched(const VlasovKernelSet& ks, const Grid& grid, double qbym,
 
 void executeBatched(const Tape2& tape, int B, const double* in, double* out, double scale) {
   switch (B) {
+    case 1: tape2Impl<1>(tape, in, out, scale); return;
     case 4: tape2Impl<4>(tape, in, out, scale); return;
     case 8: tape2Impl<8>(tape, in, out, scale); return;
     default:

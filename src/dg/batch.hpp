@@ -1,23 +1,26 @@
 #pragma once
-// AoSoA cell-blocking layer for SIMD-batched kernel execution.
+// AoSoA cell-blocking layer for the generated kernels and the blocked
+// tape executors.
 //
-// The generated batched kernels (src/kernels/gen/*_batch.cpp) and the
-// batched tape executors below operate on blocks of B cells in AoSoA
-// layout: mode-major, lane-minor, element i of cell (lane) b at
-// [i*B + b]. Updaters gather B cells' coefficient vectors into an aligned
-// scratch block with packLanes, run the batched kernel over the block,
-// and scatter the result back with scatterLanes/scatterAddLanes; cells
-// left over when the count is not a multiple of B fall through to the
-// scalar path.
+// The generated kernels (src/kernels/gen/*.cpp) and the batched tape
+// executors below operate on blocks of B cells in AoSoA layout:
+// mode-major, lane-minor, element i of cell (lane) b at [i*B + b].
+// Updaters gather B cells' coefficient vectors into an aligned scratch
+// block with packLanes, run the kernel over the block, and scatter the
+// result back with scatterLanes/scatterAddLanes. There is no separate
+// one-cell path: with B = 1 the block layout is the cell layout, so cells
+// left over when a count is not a multiple of B run as B = 1 blocks
+// (Vlasov) or as one partial-width block (LBO tape executors).
 //
 // Bitwise reproducibility contract: per lane, every executor here
-// performs exactly the floating-point operations of its scalar
-// counterpart, in the same order and association. Scratch accumulators
-// start at zero (0 + x == x in IEEE), and the scatter preserves each
-// destination cell's accumulation order, so routing a loop through this
-// layer does not change results — tests/test_batch.cpp asserts the
-// identity bit-for-bit. This file is compiled with the VDG_KERNEL_SIMD
-// flags (wider ISA, -ffp-contract=off) like the batched kernel units.
+// performs exactly the floating-point operations of its one-cell
+// counterpart (Tape2/Tape3::execute, buildAccel), in the same order and
+// association. Scratch accumulators start at zero (0 + x == x in IEEE),
+// and the scatter preserves each destination cell's accumulation order,
+// so the lane count does not change results — tests/test_batch.cpp
+// asserts the identity bit-for-bit. This file is compiled with the
+// VDG_KERNEL_SIMD flags (wider ISA, -ffp-contract=off) like the generated
+// kernel units.
 
 #include <cstddef>
 #include <new>

@@ -22,9 +22,9 @@ void forEachIdx(int nd, const int* hi, Fn fn) {
   forEachIndexInRange(nd, hi, 0, boxSize(nd, hi), fn);
 }
 
-/// Upper bound on the registry's batched lane counts (sizes the per-lane
+/// Upper bound on the registry's lane counts (sizes the per-lane
 /// pointer/index scratch arrays).
-constexpr int kMaxLanes = 8;
+constexpr int kMaxLanes = kKernelBatchLanes[kNumKernelBatchLanes - 1];
 
 }  // namespace
 
@@ -44,11 +44,6 @@ VlasovUpdater::VlasovUpdater(const BasisSpec& spec, const Grid& phaseGrid,
   }
 }
 
-const VlasovBatchedKernels* VlasovUpdater::batchedKernels() const {
-  const int lanes = activeBatchLanes();
-  return lanes > 1 ? compiled_->findBatched(lanes, ks_->cdim, ks_->vdim) : nullptr;
-}
-
 double VlasovUpdater::advance(const Field& f, const Field* em, Field& rhs) const {
   // Local alpha scratch keeps advance() re-entrant; callers that overlap
   // communication hold their own scratch across the volume/surface split.
@@ -66,11 +61,13 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
   assert(f.ncomp() == np && rhs.ncomp() == np);
   assert(!em || em->ncomp() == kEmComps * ks.numConfModes);
 
-  // Resolve the SIMD-batched kernel set (nullptr: scalar cell loops). The
-  // batched path is bitwise identical to the scalar one per cell, so this
-  // only selects how the same arithmetic is scheduled.
-  const VlasovBatchedKernels* bk = batchedKernels();
-  logKernelDispatch(specName_, compiled_ != nullptr, bk ? bk->lanes : 1);
+  // Compiled kernel sets for full blocks (bk) and for the cells left over
+  // (bk1, B = 1); nullptr on the tape path. Every lane count performs the
+  // same arithmetic per cell, so this only selects how it is scheduled.
+  const VlasovLaneKernels* bk =
+      compiled_ ? compiled_->forLanes(activeBatchLanes(), cdim, vdim) : nullptr;
+  const VlasovLaneKernels* bk1 = compiled_ ? compiled_->forLanes(1, cdim, vdim) : nullptr;
+  logKernelDispatch(specName_, compiled_ != nullptr, activeBatchLanes());
 
   rhs.setZero();
   double maxFreq = 0.0;
@@ -94,31 +91,18 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
   // Parallel over configuration cells: every phase-space cell is written by
   // exactly one chunk, so the decomposition is race-free and bitwise
   // reproducible. Acceleration prep and scratch are per-chunk locals.
-  // With a batched kernel set, runs of B consecutive velocity cells (in the
-  // odometer order of the scalar loop) are gathered into an AoSoA block and
-  // updated by one batched kernel call; leftover cells take the scalar
-  // path. Blocks never span chunk boundaries, so threading stays bitwise
-  // serial-identical.
-  // Skip the batched driver when the velocity box cannot fill even one
-  // block — every cell would take the remainder path anyway, and the
-  // scalar driver avoids the block-buffer setup.
-  const VlasovBatchedKernels* bkVol =
-      (bk && boxSize(vdim, velHi) >= static_cast<std::size_t>(bk->lanes)) ? bk : nullptr;
-  runChunked(boxSize(cdim, confHi), [&, bkVol](std::size_t begin, std::size_t end) {
-    const VlasovBatchedKernels* bk = bkVol;
+  // Compiled kernels run on AoSoA blocks of B consecutive velocity cells
+  // (in odometer order); the cells left over run one by one as B = 1
+  // blocks through the same driver. Blocks never span chunk boundaries,
+  // so threading stays bitwise serial-identical.
+  runChunked(boxSize(cdim, confHi), [&](std::size_t begin, std::size_t end) {
     AccelWorkspace ws;
     std::vector<double> alpha(static_cast<std::size_t>(vdim) * np);
-    std::array<double, kMaxDim> wArr{};
     double chunkFreq = 0.0;
 
-    const int B = bk ? bk->lanes : 1;
-    BatchBuffer wBlk, fBlk, outBlk, alphaBlk;
-    if (bk) {
-      wBlk.resize(static_cast<std::size_t>(ndim) * B);
-      fBlk.resize(static_cast<std::size_t>(np) * B);
-      outBlk.resize(static_cast<std::size_t>(np) * B);
-      if (em) alphaBlk.resize(static_cast<std::size_t>(vdim) * np * B);
-    }
+    const std::size_t blk = bk ? static_cast<std::size_t>(bk->lanes) : 0;
+    BatchBuffer wBlk(ndim * blk), fBlk(np * blk), outBlk(np * blk),
+        alphaBlk(em ? vdim * np * blk : 0);
     std::array<MultiIndex, kMaxLanes> laneIdx;
     std::array<const double*, kMaxLanes> lanePtr{};
     std::array<double*, kMaxLanes> laneOut{};
@@ -129,44 +113,29 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
       // Per-configuration-cell preparation shared by all velocity cells.
       if (em) prepareAccel(ks, em->at(cidx), ws);
 
-      // Scalar volume update of one phase-space cell (the pre-batching
-      // code path, verbatim; also the remainder path below).
-      const auto scalarCell = [&](const MultiIndex& idx) {
+      // Tape-interpreted volume update of one phase-space cell.
+      const auto tapeCell = [&](const MultiIndex& idx) {
         const std::span<const double> fc = f.cell(idx);
         const std::span<double> rc = rhs.cell(idx);
 
         double freq = 0.0;
-        // Streaming volume terms.
-        if (compiled_) {
-          for (int d = 0; d < ndim; ++d) wArr[static_cast<std::size_t>(d)] = grid_.cellCenter(d, idx[d]);
-          compiled_->streamVol(wArr.data(), dxv_.data(), fc.data(), rc.data());
-          for (int d = 0; d < cdim; ++d) {
-            const int vd = cdim + d;
-            freq += (std::abs(wArr[static_cast<std::size_t>(vd)]) + 0.5 * grid_.dx(vd)) /
-                    grid_.dx(d);
-          }
-        } else {
-          for (int d = 0; d < cdim; ++d) {
-            const int vd = cdim + d;
-            const double wc = grid_.cellCenter(vd, idx[vd]);
-            const double hdv = 0.5 * grid_.dx(vd);
-            const double rdx2 = 2.0 / grid_.dx(d);
-            ks.streamVol0[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * wc);
-            ks.streamVol1[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * hdv);
-            freq += (std::abs(wc) + hdv) / grid_.dx(d);
-          }
+        for (int d = 0; d < cdim; ++d) {
+          const int vd = cdim + d;
+          const double wc = grid_.cellCenter(vd, idx[vd]);
+          const double hdv = 0.5 * grid_.dx(vd);
+          const double rdx2 = 2.0 / grid_.dx(d);
+          ks.streamVol0[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * wc);
+          ks.streamVol1[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * hdv);
+          freq += (std::abs(wc) + hdv) / grid_.dx(d);
         }
-        // Acceleration volume terms.
         if (em) {
           buildAccel(ks, grid_, qbym_, idx, ws, alpha);
           std::copy(alpha.begin(), alpha.end(), alphaField.at(idx));
-          if (compiled_) compiled_->accelVol(dxv_.data(), alpha.data(), fc.data(), rc.data());
           for (int j = 0; j < vdim; ++j) {
             const int d = cdim + j;
             const std::span<const double> aj(alpha.data() + static_cast<std::size_t>(j) * np,
                                              static_cast<std::size_t>(np));
-            if (!compiled_)
-              ks.volume[static_cast<std::size_t>(d)].execute(aj, fc, rc, 2.0 / grid_.dx(d));
+            ks.volume[static_cast<std::size_t>(d)].execute(aj, fc, rc, 2.0 / grid_.dx(d));
             // Speed bound for the CFL frequency: |alpha| <= sum |a_l| sup|w_l|.
             double amax = 0.0;
             for (int l = 0; l < np; ++l)
@@ -178,20 +147,20 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
         chunkFreq = std::max(chunkFreq, freq);
       };
 
-      // Batched volume update of B cells (laneIdx[0..B)): same arithmetic
-      // per lane, scheduled as AoSoA lane loops.
-      const auto batchBlock = [&]() {
+      // Compiled volume update of the k.lanes cells idx[0..B): the
+      // tape-path arithmetic per lane, scheduled as AoSoA lane loops.
+      const auto block = [&](const VlasovLaneKernels& k, const MultiIndex* idx) {
+        const int B = k.lanes;
         for (int b = 0; b < B; ++b) {
-          lanePtr[static_cast<std::size_t>(b)] = f.at(laneIdx[static_cast<std::size_t>(b)]);
-          laneOut[static_cast<std::size_t>(b)] = rhs.at(laneIdx[static_cast<std::size_t>(b)]);
+          lanePtr[static_cast<std::size_t>(b)] = f.at(idx[b]);
+          laneOut[static_cast<std::size_t>(b)] = rhs.at(idx[b]);
         }
         for (int d = 0; d < ndim; ++d)
           for (int b = 0; b < B; ++b)
-            wBlk[static_cast<std::size_t>(d * B + b)] =
-                grid_.cellCenter(d, laneIdx[static_cast<std::size_t>(b)][d]);
+            wBlk[static_cast<std::size_t>(d * B + b)] = grid_.cellCenter(d, idx[b][d]);
         packLanes(B, np, lanePtr.data(), fBlk.data());
         zeroLanes(B, np, outBlk.data());
-        bk->streamVol(wBlk.data(), dxv_.data(), fBlk.data(), outBlk.data());
+        k.streamVol(wBlk.data(), dxv_.data(), fBlk.data(), outBlk.data());
         for (int b = 0; b < B; ++b) {
           double freq = 0.0;
           for (int d = 0; d < cdim; ++d) {
@@ -205,13 +174,12 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
           // Assemble all B alpha expansions directly in AoSoA layout (the
           // workspace is lane-invariant: one configuration cell per block),
           // then scatter to alphaField for the surface pass.
-          buildAccelBatched(ks, grid_, qbym_, laneIdx.data(), B, ws, alphaBlk.data());
+          buildAccelBatched(ks, grid_, qbym_, idx, B, ws, alphaBlk.data());
           for (int b = 0; b < B; ++b)
-            laneOutAlpha[static_cast<std::size_t>(b)] =
-                alphaField.at(laneIdx[static_cast<std::size_t>(b)]);
+            laneOutAlpha[static_cast<std::size_t>(b)] = alphaField.at(idx[b]);
           scatterLanes(B, vdim * np, alphaBlk.data(), laneOutAlpha.data());
-          bk->accelVol(dxv_.data(), alphaBlk.data(), fBlk.data(), outBlk.data());
-          // CFL speed bound per lane, in the scalar loop's l order.
+          k.accelVol(dxv_.data(), alphaBlk.data(), fBlk.data(), outBlk.data());
+          // CFL speed bound per lane, in the tape path's l order.
           for (int b = 0; b < B; ++b) {
             for (int j = 0; j < vdim; ++j) {
               const int d = cdim + j;
@@ -224,32 +192,31 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
           }
         }
         // Volume is the first contribution to each rhs cell (rhs was
-        // zeroed), so the block scatter overwrites — exactly the values the
-        // scalar kernels would have accumulated in place.
+        // zeroed), so the block scatter overwrites.
         scatterLanes(B, np, outBlk.data(), laneOut.data());
         for (int b = 0; b < B; ++b)
           chunkFreq = std::max(chunkFreq, laneFreq[static_cast<std::size_t>(b)]);
       };
 
-      if (bk) {
-        int lane = 0;
+      if (!bk) {
         forEachIdx(vdim, velHi, [&](const MultiIndex& vidx) {
           MultiIndex idx = cidx;
           for (int j = 0; j < vdim; ++j) idx[cdim + j] = vidx[j];
-          laneIdx[static_cast<std::size_t>(lane++)] = idx;
-          if (lane == B) {
-            batchBlock();
-            lane = 0;
-          }
+          tapeCell(idx);
         });
-        for (int b = 0; b < lane; ++b) scalarCell(laneIdx[static_cast<std::size_t>(b)]);
-      } else {
-        forEachIdx(vdim, velHi, [&](const MultiIndex& vidx) {
-          MultiIndex idx = cidx;
-          for (int j = 0; j < vdim; ++j) idx[cdim + j] = vidx[j];
-          scalarCell(idx);
-        });
+        return;
       }
+      int lane = 0;
+      forEachIdx(vdim, velHi, [&](const MultiIndex& vidx) {
+        MultiIndex& idx = laneIdx[static_cast<std::size_t>(lane++)];
+        idx = cidx;
+        for (int j = 0; j < vdim; ++j) idx[cdim + j] = vidx[j];
+        if (lane == bk->lanes) {
+          block(*bk, laneIdx.data());
+          lane = 0;
+        }
+      });
+      for (int b = 0; b < lane; ++b) block(*bk1, &laneIdx[static_cast<std::size_t>(b)]);
     });
     std::scoped_lock lock(freqMutex);
     maxFreq = std::max(maxFreq, chunkFreq);
@@ -262,10 +229,12 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
                                    const Field& alphaScratch) const {
   const VlasovKernelSet& ks = *ks_;
   const int np = ks.numPhaseModes;
-  const int cdim = ks.cdim, ndim = ks.ndim;
+  const int cdim = ks.cdim, vdim = ks.vdim, ndim = ks.ndim;
   assert(f.ncomp() == np && rhs.ncomp() == np);
   const Field& alphaField = alphaScratch;
-  const VlasovBatchedKernels* bk = batchedKernels();
+  const VlasovLaneKernels* bk =
+      compiled_ ? compiled_->forLanes(activeBatchLanes(), cdim, vdim) : nullptr;
+  const VlasovLaneKernels* bk1 = compiled_ ? compiled_->forLanes(1, cdim, vdim) : nullptr;
 
   const auto runChunked = [this](std::size_t n, const auto& fn) { chunkedFor(exec_, n, fn); };
 
@@ -275,9 +244,10 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
   // touch only the cells of that line, so lines decompose race-free, and
   // each cell still receives its lower-face then upper-face lift in the
   // serial order — the threaded result stays bit-for-bit serial-identical.
-  // The batched path gathers B parallel lines and walks their faces in
+  // Compiled kernels gather B parallel lines and walk their faces in
   // lockstep (every lane at the same face position i, so boundary handling
-  // is uniform across the block); leftover lines take the scalar path.
+  // is uniform across the block); the lines left over run one by one as
+  // B = 1 blocks through the same driver.
   const bool penalty = params_.flux == FluxType::Penalty;
   for (int d = 0; d < ndim; ++d) {
     const auto ds = static_cast<std::size_t>(d);
@@ -290,13 +260,7 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
     for (int i = 0; i < ndim; ++i)
       if (i != d) transHi[nt++] = grid_.cells[static_cast<std::size_t>(i)];
 
-    // As in the volume pass: no batched driver when there are fewer
-    // transverse lines than one block's worth.
-    const VlasovBatchedKernels* bkSurf =
-        (bk && boxSize(nt, transHi) >= static_cast<std::size_t>(bk->lanes)) ? bk : nullptr;
-    runChunked(boxSize(nt, transHi),
-               [&, d, ds, isConfDir, bkSurf](std::size_t begin, std::size_t end) {
-      const VlasovBatchedKernels* bk = bkSurf;
+    runChunked(boxSize(nt, transHi), [&, d, ds, isConfDir](std::size_t begin, std::size_t end) {
       const FaceMap& fm = ks.faceMap[ds];
       const int nf = fm.numFaceModes;
       const double rdx2 = 2.0 / grid_.dx(d);
@@ -304,31 +268,19 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
       std::vector<double> fL(static_cast<std::size_t>(nf)), fR(static_cast<std::size_t>(nf));
       std::vector<double> favg(static_cast<std::size_t>(nf)), fhat(static_cast<std::size_t>(nf));
       std::vector<double> aL(static_cast<std::size_t>(nf)), aR(static_cast<std::size_t>(nf));
-      std::vector<double> scratch(static_cast<std::size_t>(np));  // discarded ghost-side output
-      std::array<double, kMaxDim> wArr{};
 
-      const int B = bk ? bk->lanes : 1;
-      BatchBuffer wBlk, faceBlkA, faceBlkB, outlBlk, outrBlk, alphaBlkA, alphaBlkB;
-      if (bk) {
-        wBlk.resize(static_cast<std::size_t>(ndim) * B);
-        faceBlkA.resize(static_cast<std::size_t>(np) * B);
-        faceBlkB.resize(static_cast<std::size_t>(np) * B);
-        outlBlk.resize(static_cast<std::size_t>(np) * B);
-        outrBlk.resize(static_cast<std::size_t>(np) * B);
-        if (!isConfDir) {
-          alphaBlkA.resize(static_cast<std::size_t>(np) * B);
-          alphaBlkB.resize(static_cast<std::size_t>(np) * B);
-        }
-      }
+      const std::size_t blk = bk ? static_cast<std::size_t>(bk->lanes) : 0;
+      const std::size_t alphaBlk = isConfDir ? 0 : np * blk;
+      BatchBuffer wBlk(ndim * blk), faceBlkA(np * blk), faceBlkB(np * blk), outlBlk(np * blk),
+          outrBlk(np * blk), alphaBlkA(alphaBlk), alphaBlkB(alphaBlk);
       std::array<MultiIndex, kMaxLanes> lineIdx;
       std::array<const double*, kMaxLanes> srcPtr{};
       std::array<const double*, kMaxLanes> alphaPtr{};
       std::array<double*, kMaxLanes> dstPtr{};
 
-      // Scalar face sweep of one line (the pre-batching code path,
-      // verbatim; also the remainder path below). `fidx` has the line's
+      // Tape-interpreted face sweep of one line. `fidx` has the line's
       // transverse components set; fidx[d] is scratch.
-      const auto scalarLine = [&](MultiIndex fidx) {
+      const auto tapeLine = [&](MultiIndex fidx) {
         // Iterate the line's faces: positions i in [0, N_d] (the idx[d] face
         // is the lower face of cell idx). Velocity-space domain boundaries
         // use the zero-flux closure (skip).
@@ -339,24 +291,6 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
           lidx[d] = i - 1;
           const bool lInterior = i > 0;
           const bool rInterior = i < nd;
-
-          if (compiled_) {
-            double* outl = lInterior ? rhs.at(lidx) : scratch.data();
-            double* outr = rInterior ? rhs.at(ridx) : scratch.data();
-            if (isConfDir) {
-              const int vd = cdim + d;
-              wArr[static_cast<std::size_t>(vd)] = grid_.cellCenter(vd, fidx[vd]);
-              compiled_->streamSurf[d](wArr.data(), dxv_.data(), f.at(lidx), f.at(ridx), outl,
-                                       outr);
-            } else {
-              const int j = d - cdim;
-              const int off = j * np;
-              compiled_->accelSurf[j](dxv_.data(), alphaField.at(lidx) + off,
-                                      alphaField.at(ridx) + off, f.at(lidx), f.at(ridx), outl,
-                                      outr);
-            }
-            continue;
-          }
 
           fm.restrictTo(f.cell(lidx), fL, +1);
           fm.restrictTo(f.cell(ridx), fR, -1);
@@ -406,12 +340,13 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
         }
       };
 
-      // Batched face sweep of B parallel lines (lineIdx[0..B)). The left
-      // block of face i+1 is the right block of face i, so each step packs
-      // only the right side and swaps. Per-lane pointer cursors advance by
-      // one cell stride in d per face, so the sweep does no per-face index
-      // arithmetic.
-      const auto batchLines = [&]() {
+      // Compiled face sweep of the k.lanes parallel lines lines[0..B). The
+      // left block of face i+1 is the right block of face i, so each step
+      // packs only the right side and swaps. Per-lane pointer cursors
+      // advance by one cell stride in d per face, so the sweep does no
+      // per-face index arithmetic.
+      const auto block = [&](const VlasovLaneKernels& k, const MultiIndex* lines) {
+        const int B = k.lanes;
         const int nd = grid_.cells[ds];
         const int iBegin = isConfDir ? 0 : 1;
         const int iEnd = isConfDir ? nd : nd - 1;
@@ -428,8 +363,7 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
           // coordinate of the line, constant along the whole sweep.
           const int vd = cdim + d;
           for (int b = 0; b < B; ++b)
-            wBlk[static_cast<std::size_t>(vd * B + b)] =
-                grid_.cellCenter(vd, lineIdx[static_cast<std::size_t>(b)][vd]);
+            wBlk[static_cast<std::size_t>(vd * B + b)] = grid_.cellCenter(vd, lines[b][vd]);
         }
 
         // One-cell strides in d (uniform across lanes) and per-lane
@@ -437,7 +371,7 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
         // face step), rCur at position i - 1 (the outl destination).
         std::ptrdiff_t fStep, rStep, aStep = 0;
         {
-          MultiIndex p0 = lineIdx[0], p1 = lineIdx[0];
+          MultiIndex p0 = lines[0], p1 = lines[0];
           p0[d] = iBegin - 1;
           p1[d] = iBegin;
           fStep = f.at(p1) - f.at(p0);
@@ -445,7 +379,7 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
           if (!isConfDir) aStep = alphaField.at(p1) - alphaField.at(p0);
         }
         for (int b = 0; b < B; ++b) {
-          MultiIndex li = lineIdx[static_cast<std::size_t>(b)];
+          MultiIndex li = lines[b];
           li[d] = iBegin - 1;
           srcPtr[static_cast<std::size_t>(b)] = f.at(li);
           dstPtr[static_cast<std::size_t>(b)] = rhs.at(li);
@@ -460,15 +394,15 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
           zeroLanes(B, np, outlBlk.data());
           zeroLanes(B, np, outrBlk.data());
           if (isConfDir) {
-            bk->streamSurf[d](wBlk.data(), dxv_.data(), fl, fr, outlBlk.data(), outrBlk.data());
+            k.streamSurf[d](wBlk.data(), dxv_.data(), fl, fr, outlBlk.data(), outrBlk.data());
           } else {
             for (int b = 0; b < B; ++b) alphaPtr[static_cast<std::size_t>(b)] += aStep;
             packLanes(B, np, alphaPtr.data(), ar);
-            bk->accelSurf[j](dxv_.data(), al, ar, fl, fr, outlBlk.data(), outrBlk.data());
+            k.accelSurf[j](dxv_.data(), al, ar, fl, fr, outlBlk.data(), outrBlk.data());
           }
           // Scatter-add in face order: a cell's lower-face lift (outr of
           // face i) lands before its upper-face lift (outl of face i+1),
-          // preserving the scalar path's per-cell accumulation order.
+          // preserving the tape path's per-cell accumulation order.
           // Ghost-side outputs are simply dropped.
           if (i > 0) scatterAddLanes(B, np, outlBlk.data(), dstPtr.data());
           for (int b = 0; b < B; ++b) dstPtr[static_cast<std::size_t>(b)] += rStep;
@@ -478,30 +412,23 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
         }
       };
 
-      if (bk) {
-        int lane = 0;
-        forEachIndexInRange(nt, transHi, begin, end, [&](const MultiIndex& tidx) {
-          MultiIndex fidx;
-          int jt = 0;
-          for (int i = 0; i < ndim; ++i)
-            if (i != d) fidx[i] = tidx[jt++];
-          fidx[d] = 0;
-          lineIdx[static_cast<std::size_t>(lane++)] = fidx;
-          if (lane == B) {
-            batchLines();
-            lane = 0;
-          }
-        });
-        for (int b = 0; b < lane; ++b) scalarLine(lineIdx[static_cast<std::size_t>(b)]);
-      } else {
-        forEachIndexInRange(nt, transHi, begin, end, [&](const MultiIndex& tidx) {
-          MultiIndex fidx;
-          int jt = 0;
-          for (int i = 0; i < ndim; ++i)
-            if (i != d) fidx[i] = tidx[jt++];
-          scalarLine(fidx);
-        });
-      }
+      int lane = 0;
+      forEachIndexInRange(nt, transHi, begin, end, [&](const MultiIndex& tidx) {
+        MultiIndex& fidx = lineIdx[static_cast<std::size_t>(lane)];
+        int jt = 0;
+        for (int i = 0; i < ndim; ++i)
+          if (i != d) fidx[i] = tidx[jt++];
+        fidx[d] = 0;
+        if (!bk) {
+          tapeLine(fidx);
+          return;
+        }
+        if (++lane == bk->lanes) {
+          block(*bk, lineIdx.data());
+          lane = 0;
+        }
+      });
+      for (int b = 0; b < lane; ++b) block(*bk1, &lineIdx[static_cast<std::size_t>(b)]);
     });
   }
 }

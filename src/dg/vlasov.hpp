@@ -73,27 +73,23 @@ class VlasovUpdater {
   [[nodiscard]] bool usesCompiledKernels() const { return compiled_ != nullptr; }
 
   /// Force tape interpretation even when compiled kernels are registered
-  /// (used by tests and the codegen ablation benchmark). Also disables the
-  /// batched path (batched kernels are compiled kernels).
-  void disableCompiledKernels() {
-    compiled_ = nullptr;
-    batchLanes_ = 1;
-  }
+  /// (used by tests and the codegen ablation benchmark).
+  void disableCompiledKernels() { compiled_ = nullptr; }
 
-  /// SIMD batch width request: 0 = auto (largest registered batched lane
-  /// count, the default), 1 = scalar cell loop (bitwise identical to the
-  /// pre-batching code path), or a kKernelBatchLanes entry. Requests the
-  /// registry cannot serve fall back to scalar. The batched path is itself
-  /// bitwise identical to scalar per cell, so this knob only affects
-  /// speed; it exists for A/B benchmarking and bisection.
+  /// Lane count request for the compiled kernels: 0 = auto (largest
+  /// registered lane count, the default), or a kKernelBatchLanes entry
+  /// (1 = one cell per kernel call). Requests the registry cannot serve
+  /// fall back to 1. Every lane count is bitwise identical per cell, so
+  /// this knob only affects speed; it exists for A/B benchmarking and
+  /// bisection.
   void setBatchLanes(int lanes) { batchLanes_ = lanes; }
 
-  /// The lane count advance() actually runs with (1 = scalar path).
+  /// The lane count advance() blocks cells with (1 on the tape path).
+  /// Cells or lines left over by full blocks run as B = 1 blocks.
   [[nodiscard]] int activeBatchLanes() const {
-    if (!compiled_ || batchLanes_ == 1) return 1;
-    const int avail = compiled_->maxBatchLanes(ks_->cdim, ks_->vdim);
-    if (batchLanes_ == 0) return avail > 1 ? avail : 1;
-    return compiled_->findBatched(batchLanes_, ks_->cdim, ks_->vdim) ? batchLanes_ : 1;
+    if (!compiled_) return 1;
+    if (batchLanes_ == 0) return compiled_->maxLanes(ks_->cdim, ks_->vdim);
+    return compiled_->forLanes(batchLanes_, ks_->cdim, ks_->vdim) ? batchLanes_ : 1;
   }
 
   /// Volume-term-only update (streaming + acceleration), used by the
@@ -109,11 +105,6 @@ class VlasovUpdater {
   [[nodiscard]] ThreadExec* executor() const { return exec_; }
 
  private:
-  /// The SIMD-batched kernel set advance() dispatches to (nullptr: scalar
-  /// cell loops). Deterministic, so the volume and surface passes resolve
-  /// it independently and agree.
-  [[nodiscard]] const VlasovBatchedKernels* batchedKernels() const;
-
   const VlasovKernelSet* ks_;
   const VlasovCompiledKernels* compiled_ = nullptr;
   ThreadExec* exec_ = nullptr;
@@ -121,7 +112,7 @@ class VlasovUpdater {
   VlasovParams params_;
   double qbym_;
   std::array<double, kMaxDim> dxv_{};  ///< per-dimension cell sizes
-  int batchLanes_ = 0;                 ///< requested SIMD batch width (0 = auto)
+  int batchLanes_ = 0;                 ///< requested lane count (0 = auto)
   std::string specName_;               ///< basis spec name (dispatch diagnostics)
 };
 

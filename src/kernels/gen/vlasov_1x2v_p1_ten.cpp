@@ -3,6 +3,10 @@
 // Exact (alias-free) modal DG Vlasov kernels for the 1x2v_p1_ten basis,
 // rendered from the symbolically integrated sparse tensors with all
 // constants folded to double precision (the paper's Maxima-CAS workflow).
+// Each kernel updates an AoSoA block of B cells (mode-major, lane-minor:
+// element i of lane b at [i*B+b]) and is instantiated at every
+// kKernelBatchLanes entry; B = 1 is the one-cell kernel. Per lane the FP
+// operation order is the same at every B (tests/test_batch.cpp).
 // Regenerate with: gen_kernels <output-dir>
 // ============================================================================
 // clang-format off
@@ -11,174 +15,205 @@
 #include "kernels/registry.hpp"
 
 namespace vdg::gen_1x2v_p1_ten {
+namespace {
 
-static // Volume streaming kernel (exact DG volume integral of div_x (v f)),
+// Volume streaming kernel (exact DG volume integral of div_x (v f)),
 // auto-generated for the 1x2v_p1_ten basis (8 DOF/cell).
-// Inputs: cell center w, cell size dxv, distribution coefficients f;
+// Inputs: cell centers w, cell size dxv, distribution coefficients f;
 // out is incremented with the forward-Euler volume contribution.
-void vlasov_1x2v_p1_ten_stream_vol(const double* w, const double* dxv, const double* f, double* out) {
+template <int B>
+void vlasov_1x2v_p1_ten_stream_vol(const double* __restrict w, const double* __restrict dxv, const double* __restrict f, double* __restrict out) {
   const double rdx2_0 = 2.0/dxv[0];
-  const double wv_0 = w[1];
   const double hdv_0 = 0.5*dxv[1];
-  out[1] += rdx2_0*((1.7320508075688794*wv_0)*f[0] + (1.0000000000000007*hdv_0)*f[2]);
-  out[4] += rdx2_0*((1.0000000000000007*hdv_0)*f[0] + (1.7320508075688785*wv_0)*f[2]);
-  out[5] += rdx2_0*((1.7320508075688787*wv_0)*f[3] + (1.0000000000000004*hdv_0)*f[6]);
-  out[7] += rdx2_0*((1.0000000000000004*hdv_0)*f[3] + (1.7320508075688783*wv_0)*f[6]);
+  for (int b = 0; b < B; ++b) {
+    const double wv_0 = w[1*B+b];
+    out[1*B+b] += rdx2_0*((1.7320508075688794*wv_0)*f[0*B+b] + (1.0000000000000007*hdv_0)*f[2*B+b]);
+    out[4*B+b] += rdx2_0*((1.0000000000000007*hdv_0)*f[0*B+b] + (1.7320508075688785*wv_0)*f[2*B+b]);
+    out[5*B+b] += rdx2_0*((1.7320508075688787*wv_0)*f[3*B+b] + (1.0000000000000004*hdv_0)*f[6*B+b]);
+    out[7*B+b] += rdx2_0*((1.0000000000000004*hdv_0)*f[3*B+b] + (1.7320508075688783*wv_0)*f[6*B+b]);
+  }
 }
 
-static // Volume acceleration kernel (exact DG volume integral of div_v (alpha f));
+// Volume acceleration kernel (exact DG volume integral of div_v (alpha f));
 // alpha is the per-cell phase-space flux expansion, vdim x 8 coefficients.
-void vlasov_1x2v_p1_ten_accel_vol(const double* dxv, const double* alpha, const double* f, double* out) {
+template <int B>
+void vlasov_1x2v_p1_ten_accel_vol(const double* __restrict dxv, const double* __restrict alpha, const double* __restrict f, double* __restrict out) {
   const double rdv2_0 = 2.0/dxv[1];
   const double rdv2_1 = 2.0/dxv[2];
-  out[2] += rdv2_0*(0.61237243569579525*alpha[0]*f[0] + 0.61237243569579491*alpha[1]*f[1] + 0.61237243569579491*alpha[2]*f[2] + 0.61237243569579503*alpha[3]*f[3] + 0.61237243569579469*alpha[4]*f[4] + 0.6123724356957948*alpha[5]*f[5] + 0.6123724356957948*alpha[6]*f[6] + 0.61237243569579458*alpha[7]*f[7]);
-  out[4] += rdv2_0*(0.61237243569579491*alpha[0]*f[1] + 0.61237243569579491*alpha[1]*f[0] + 0.61237243569579469*alpha[2]*f[4] + 0.6123724356957948*alpha[3]*f[5] + 0.61237243569579469*alpha[4]*f[2] + 0.6123724356957948*alpha[5]*f[3] + 0.61237243569579458*alpha[6]*f[7] + 0.61237243569579458*alpha[7]*f[6]);
-  out[6] += rdv2_0*(0.61237243569579503*alpha[0]*f[3] + 0.6123724356957948*alpha[1]*f[5] + 0.6123724356957948*alpha[2]*f[6] + 0.61237243569579503*alpha[3]*f[0] + 0.61237243569579458*alpha[4]*f[7] + 0.6123724356957948*alpha[5]*f[1] + 0.6123724356957948*alpha[6]*f[2] + 0.61237243569579458*alpha[7]*f[4]);
-  out[7] += rdv2_0*(0.6123724356957948*alpha[0]*f[5] + 0.6123724356957948*alpha[1]*f[3] + 0.61237243569579458*alpha[2]*f[7] + 0.6123724356957948*alpha[3]*f[1] + 0.61237243569579458*alpha[4]*f[6] + 0.6123724356957948*alpha[5]*f[0] + 0.61237243569579458*alpha[6]*f[4] + 0.61237243569579458*alpha[7]*f[2]);
-  out[3] += rdv2_1*(0.61237243569579514*alpha[8]*f[0] + 0.61237243569579491*alpha[9]*f[1] + 0.61237243569579491*alpha[10]*f[2] + 0.61237243569579491*alpha[11]*f[3] + 0.6123724356957948*alpha[12]*f[4] + 0.61237243569579469*alpha[13]*f[5] + 0.61237243569579469*alpha[14]*f[6] + 0.61237243569579458*alpha[15]*f[7]);
-  out[5] += rdv2_1*(0.61237243569579491*alpha[8]*f[1] + 0.61237243569579491*alpha[9]*f[0] + 0.6123724356957948*alpha[10]*f[4] + 0.61237243569579469*alpha[11]*f[5] + 0.6123724356957948*alpha[12]*f[2] + 0.61237243569579469*alpha[13]*f[3] + 0.61237243569579458*alpha[14]*f[7] + 0.61237243569579458*alpha[15]*f[6]);
-  out[6] += rdv2_1*(0.61237243569579491*alpha[8]*f[2] + 0.6123724356957948*alpha[9]*f[4] + 0.61237243569579491*alpha[10]*f[0] + 0.61237243569579469*alpha[11]*f[6] + 0.6123724356957948*alpha[12]*f[1] + 0.61237243569579458*alpha[13]*f[7] + 0.61237243569579469*alpha[14]*f[3] + 0.61237243569579458*alpha[15]*f[5]);
-  out[7] += rdv2_1*(0.6123724356957948*alpha[8]*f[4] + 0.6123724356957948*alpha[9]*f[2] + 0.6123724356957948*alpha[10]*f[1] + 0.61237243569579458*alpha[11]*f[7] + 0.6123724356957948*alpha[12]*f[0] + 0.61237243569579458*alpha[13]*f[6] + 0.61237243569579458*alpha[14]*f[5] + 0.61237243569579458*alpha[15]*f[3]);
+  for (int b = 0; b < B; ++b) {
+    out[2*B+b] += rdv2_0*(0.61237243569579525*alpha[0*B+b]*f[0*B+b] + 0.61237243569579491*alpha[1*B+b]*f[1*B+b] + 0.61237243569579491*alpha[2*B+b]*f[2*B+b] + 0.61237243569579503*alpha[3*B+b]*f[3*B+b] + 0.61237243569579469*alpha[4*B+b]*f[4*B+b] + 0.6123724356957948*alpha[5*B+b]*f[5*B+b] + 0.6123724356957948*alpha[6*B+b]*f[6*B+b] + 0.61237243569579458*alpha[7*B+b]*f[7*B+b]);
+    out[4*B+b] += rdv2_0*(0.61237243569579491*alpha[0*B+b]*f[1*B+b] + 0.61237243569579491*alpha[1*B+b]*f[0*B+b] + 0.61237243569579469*alpha[2*B+b]*f[4*B+b] + 0.6123724356957948*alpha[3*B+b]*f[5*B+b] + 0.61237243569579469*alpha[4*B+b]*f[2*B+b] + 0.6123724356957948*alpha[5*B+b]*f[3*B+b] + 0.61237243569579458*alpha[6*B+b]*f[7*B+b] + 0.61237243569579458*alpha[7*B+b]*f[6*B+b]);
+    out[6*B+b] += rdv2_0*(0.61237243569579503*alpha[0*B+b]*f[3*B+b] + 0.6123724356957948*alpha[1*B+b]*f[5*B+b] + 0.6123724356957948*alpha[2*B+b]*f[6*B+b] + 0.61237243569579503*alpha[3*B+b]*f[0*B+b] + 0.61237243569579458*alpha[4*B+b]*f[7*B+b] + 0.6123724356957948*alpha[5*B+b]*f[1*B+b] + 0.6123724356957948*alpha[6*B+b]*f[2*B+b] + 0.61237243569579458*alpha[7*B+b]*f[4*B+b]);
+    out[7*B+b] += rdv2_0*(0.6123724356957948*alpha[0*B+b]*f[5*B+b] + 0.6123724356957948*alpha[1*B+b]*f[3*B+b] + 0.61237243569579458*alpha[2*B+b]*f[7*B+b] + 0.6123724356957948*alpha[3*B+b]*f[1*B+b] + 0.61237243569579458*alpha[4*B+b]*f[6*B+b] + 0.6123724356957948*alpha[5*B+b]*f[0*B+b] + 0.61237243569579458*alpha[6*B+b]*f[4*B+b] + 0.61237243569579458*alpha[7*B+b]*f[2*B+b]);
+    out[3*B+b] += rdv2_1*(0.61237243569579514*alpha[8*B+b]*f[0*B+b] + 0.61237243569579491*alpha[9*B+b]*f[1*B+b] + 0.61237243569579491*alpha[10*B+b]*f[2*B+b] + 0.61237243569579491*alpha[11*B+b]*f[3*B+b] + 0.6123724356957948*alpha[12*B+b]*f[4*B+b] + 0.61237243569579469*alpha[13*B+b]*f[5*B+b] + 0.61237243569579469*alpha[14*B+b]*f[6*B+b] + 0.61237243569579458*alpha[15*B+b]*f[7*B+b]);
+    out[5*B+b] += rdv2_1*(0.61237243569579491*alpha[8*B+b]*f[1*B+b] + 0.61237243569579491*alpha[9*B+b]*f[0*B+b] + 0.6123724356957948*alpha[10*B+b]*f[4*B+b] + 0.61237243569579469*alpha[11*B+b]*f[5*B+b] + 0.6123724356957948*alpha[12*B+b]*f[2*B+b] + 0.61237243569579469*alpha[13*B+b]*f[3*B+b] + 0.61237243569579458*alpha[14*B+b]*f[7*B+b] + 0.61237243569579458*alpha[15*B+b]*f[6*B+b]);
+    out[6*B+b] += rdv2_1*(0.61237243569579491*alpha[8*B+b]*f[2*B+b] + 0.6123724356957948*alpha[9*B+b]*f[4*B+b] + 0.61237243569579491*alpha[10*B+b]*f[0*B+b] + 0.61237243569579469*alpha[11*B+b]*f[6*B+b] + 0.6123724356957948*alpha[12*B+b]*f[1*B+b] + 0.61237243569579458*alpha[13*B+b]*f[7*B+b] + 0.61237243569579469*alpha[14*B+b]*f[3*B+b] + 0.61237243569579458*alpha[15*B+b]*f[5*B+b]);
+    out[7*B+b] += rdv2_1*(0.6123724356957948*alpha[8*B+b]*f[4*B+b] + 0.6123724356957948*alpha[9*B+b]*f[2*B+b] + 0.6123724356957948*alpha[10*B+b]*f[1*B+b] + 0.61237243569579458*alpha[11*B+b]*f[7*B+b] + 0.6123724356957948*alpha[12*B+b]*f[0*B+b] + 0.61237243569579458*alpha[13*B+b]*f[6*B+b] + 0.61237243569579458*alpha[14*B+b]*f[5*B+b] + 0.61237243569579458*alpha[15*B+b]*f[3*B+b]);
+  }
 }
 
-static // Surface streaming kernel, configuration direction 0:
+// Surface streaming kernel, configuration direction 0:
 // local Lax-Friedrichs flux Fhat = v favg - (tau/2)(fr - fl) on the shared
 // face, lifted into both adjacent cells (fl: left/lower cell, fr: right).
-void vlasov_1x2v_p1_ten_stream_surf0(const double* w, const double* dxv, const double* fl, const double* fr, double* outl, double* outr) {
+template <int B>
+void vlasov_1x2v_p1_ten_stream_surf0(const double* __restrict w, const double* __restrict dxv, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
   const double rdx2 = 2.0/dxv[0];
-  const double wv = w[1];
   const double hdv = 0.5*dxv[1];
-  const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
-  const double fL0 = 0.70710678118654757*fl[0] + 1.2247448713915889*fl[1];
-  const double fL1 = 0.70710678118654757*fl[2] + 1.2247448713915889*fl[4];
-  const double fL2 = 0.70710678118654757*fl[3] + 1.2247448713915889*fl[5];
-  const double fL3 = 0.70710678118654757*fl[6] + 1.2247448713915889*fl[7];
-  const double fR0 = 0.70710678118654757*fr[0] - 1.2247448713915889*fr[1];
-  const double fR1 = 0.70710678118654757*fr[2] - 1.2247448713915889*fr[4];
-  const double fR2 = 0.70710678118654757*fr[3] - 1.2247448713915889*fr[5];
-  const double fR3 = 0.70710678118654757*fr[6] - 1.2247448713915889*fr[7];
-  const double favg0 = 0.5*(fL0 + fR0);
-  const double favg1 = 0.5*(fL1 + fR1);
-  const double favg2 = 0.5*(fL2 + fR2);
-  const double favg3 = 0.5*(fL3 + fR3);
-  const double fhat0 = wv*(1.0000000000000007*favg0) + hdv*(0.57735026918962606*favg1) - 0.5*tau*(fR0 - fL0);
-  const double fhat1 = wv*(1.0000000000000004*favg1) + hdv*(0.57735026918962606*favg0) - 0.5*tau*(fR1 - fL1);
-  const double fhat2 = wv*(1.0000000000000004*favg2) + hdv*(0.57735026918962595*favg3) - 0.5*tau*(fR2 - fL2);
-  const double fhat3 = wv*(1.0000000000000002*favg3) + hdv*(0.57735026918962595*favg2) - 0.5*tau*(fR3 - fL3);
-  outl[0] -= rdx2*0.70710678118654757*fhat0;
-  outr[0] += rdx2*0.70710678118654757*fhat0;
-  outl[1] -= rdx2*1.2247448713915889*fhat0;
-  outr[1] += rdx2*-1.2247448713915889*fhat0;
-  outl[2] -= rdx2*0.70710678118654757*fhat1;
-  outr[2] += rdx2*0.70710678118654757*fhat1;
-  outl[3] -= rdx2*0.70710678118654757*fhat2;
-  outr[3] += rdx2*0.70710678118654757*fhat2;
-  outl[4] -= rdx2*1.2247448713915889*fhat1;
-  outr[4] += rdx2*-1.2247448713915889*fhat1;
-  outl[5] -= rdx2*1.2247448713915889*fhat2;
-  outr[5] += rdx2*-1.2247448713915889*fhat2;
-  outl[6] -= rdx2*0.70710678118654757*fhat3;
-  outr[6] += rdx2*0.70710678118654757*fhat3;
-  outl[7] -= rdx2*1.2247448713915889*fhat3;
-  outr[7] += rdx2*-1.2247448713915889*fhat3;
+  for (int b = 0; b < B; ++b) {
+    const double wv = w[1*B+b];
+    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[1*B+b];
+    const double fL1 = 0.70710678118654757*fl[2*B+b] + 1.2247448713915889*fl[4*B+b];
+    const double fL2 = 0.70710678118654757*fl[3*B+b] + 1.2247448713915889*fl[5*B+b];
+    const double fL3 = 0.70710678118654757*fl[6*B+b] + 1.2247448713915889*fl[7*B+b];
+    const double fR0 = 0.70710678118654757*fr[0*B+b] - 1.2247448713915889*fr[1*B+b];
+    const double fR1 = 0.70710678118654757*fr[2*B+b] - 1.2247448713915889*fr[4*B+b];
+    const double fR2 = 0.70710678118654757*fr[3*B+b] - 1.2247448713915889*fr[5*B+b];
+    const double fR3 = 0.70710678118654757*fr[6*B+b] - 1.2247448713915889*fr[7*B+b];
+    const double favg0 = 0.5*(fL0 + fR0);
+    const double favg1 = 0.5*(fL1 + fR1);
+    const double favg2 = 0.5*(fL2 + fR2);
+    const double favg3 = 0.5*(fL3 + fR3);
+    const double fhat0 = wv*(1.0000000000000007*favg0) + hdv*(0.57735026918962606*favg1) - 0.5*tau*(fR0 - fL0);
+    const double fhat1 = wv*(1.0000000000000004*favg1) + hdv*(0.57735026918962606*favg0) - 0.5*tau*(fR1 - fL1);
+    const double fhat2 = wv*(1.0000000000000004*favg2) + hdv*(0.57735026918962595*favg3) - 0.5*tau*(fR2 - fL2);
+    const double fhat3 = wv*(1.0000000000000002*favg3) + hdv*(0.57735026918962595*favg2) - 0.5*tau*(fR3 - fL3);
+    outl[0*B+b] -= rdx2*0.70710678118654757*fhat0;
+    outr[0*B+b] += rdx2*0.70710678118654757*fhat0;
+    outl[1*B+b] -= rdx2*1.2247448713915889*fhat0;
+    outr[1*B+b] += rdx2*-1.2247448713915889*fhat0;
+    outl[2*B+b] -= rdx2*0.70710678118654757*fhat1;
+    outr[2*B+b] += rdx2*0.70710678118654757*fhat1;
+    outl[3*B+b] -= rdx2*0.70710678118654757*fhat2;
+    outr[3*B+b] += rdx2*0.70710678118654757*fhat2;
+    outl[4*B+b] -= rdx2*1.2247448713915889*fhat1;
+    outr[4*B+b] += rdx2*-1.2247448713915889*fhat1;
+    outl[5*B+b] -= rdx2*1.2247448713915889*fhat2;
+    outr[5*B+b] += rdx2*-1.2247448713915889*fhat2;
+    outl[6*B+b] -= rdx2*0.70710678118654757*fhat3;
+    outr[6*B+b] += rdx2*0.70710678118654757*fhat3;
+    outl[7*B+b] -= rdx2*1.2247448713915889*fhat3;
+    outr[7*B+b] += rdx2*-1.2247448713915889*fhat3;
+  }
 }
 
-static // Surface acceleration kernel, velocity direction 0:
+// Surface acceleration kernel, velocity direction 0:
 // per-side flux expansions (paper Eq. 5) with a local Lax-Friedrichs
 // penalty bounded by the coefficient-sup estimate of |alpha| on the face.
-void vlasov_1x2v_p1_ten_accel_surf0(const double* dxv, const double* al, const double* ar, const double* fl, const double* fr, double* outl, double* outr) {
+template <int B>
+void vlasov_1x2v_p1_ten_accel_surf0(const double* __restrict dxv, const double* __restrict al, const double* __restrict ar, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
   const double rdx2 = 2.0/dxv[1];
-  const double fL0 = 0.70710678118654757*fl[0] + 1.2247448713915889*fl[2];
-  const double fL1 = 0.70710678118654757*fl[1] + 1.2247448713915889*fl[4];
-  const double fL2 = 0.70710678118654757*fl[3] + 1.2247448713915889*fl[6];
-  const double fL3 = 0.70710678118654757*fl[5] + 1.2247448713915889*fl[7];
-  const double fR0 = 0.70710678118654757*fr[0] - 1.2247448713915889*fr[2];
-  const double fR1 = 0.70710678118654757*fr[1] - 1.2247448713915889*fr[4];
-  const double fR2 = 0.70710678118654757*fr[3] - 1.2247448713915889*fr[6];
-  const double fR3 = 0.70710678118654757*fr[5] - 1.2247448713915889*fr[7];
-  const double aL0 = 0.70710678118654757*al[0] + 1.2247448713915889*al[2];
-  const double aL1 = 0.70710678118654757*al[1] + 1.2247448713915889*al[4];
-  const double aL2 = 0.70710678118654757*al[3] + 1.2247448713915889*al[6];
-  const double aL3 = 0.70710678118654757*al[5] + 1.2247448713915889*al[7];
-  const double aR0 = 0.70710678118654757*ar[0] - 1.2247448713915889*ar[2];
-  const double aR1 = 0.70710678118654757*ar[1] - 1.2247448713915889*ar[4];
-  const double aR2 = 0.70710678118654757*ar[3] - 1.2247448713915889*ar[6];
-  const double aR3 = 0.70710678118654757*ar[5] - 1.2247448713915889*ar[7];
-  const double tau = std::fmax(0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3), 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3));
-  const double fhat0 = 0.5*(0.50000000000000033*(aL0*fL0 + aR0*fR0) + 0.50000000000000022*(aL1*fL1 + aR1*fR1) + 0.50000000000000022*(aL2*fL2 + aR2*fR2) + 0.50000000000000011*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
-  const double fhat1 = 0.5*(0.50000000000000022*(aL0*fL1 + aR0*fR1) + 0.50000000000000022*(aL1*fL0 + aR1*fR0) + 0.50000000000000011*(aL2*fL3 + aR2*fR3) + 0.50000000000000011*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
-  const double fhat2 = 0.5*(0.50000000000000022*(aL0*fL2 + aR0*fR2) + 0.50000000000000011*(aL1*fL3 + aR1*fR3) + 0.50000000000000022*(aL2*fL0 + aR2*fR0) + 0.50000000000000011*(aL3*fL1 + aR3*fR1)) - 0.5*tau*(fR2 - fL2);
-  const double fhat3 = 0.5*(0.50000000000000011*(aL0*fL3 + aR0*fR3) + 0.50000000000000011*(aL1*fL2 + aR1*fR2) + 0.50000000000000011*(aL2*fL1 + aR2*fR1) + 0.50000000000000011*(aL3*fL0 + aR3*fR0)) - 0.5*tau*(fR3 - fL3);
-  outl[0] -= rdx2*0.70710678118654757*fhat0;
-  outr[0] += rdx2*0.70710678118654757*fhat0;
-  outl[1] -= rdx2*0.70710678118654757*fhat1;
-  outr[1] += rdx2*0.70710678118654757*fhat1;
-  outl[2] -= rdx2*1.2247448713915889*fhat0;
-  outr[2] += rdx2*-1.2247448713915889*fhat0;
-  outl[3] -= rdx2*0.70710678118654757*fhat2;
-  outr[3] += rdx2*0.70710678118654757*fhat2;
-  outl[4] -= rdx2*1.2247448713915889*fhat1;
-  outr[4] += rdx2*-1.2247448713915889*fhat1;
-  outl[5] -= rdx2*0.70710678118654757*fhat3;
-  outr[5] += rdx2*0.70710678118654757*fhat3;
-  outl[6] -= rdx2*1.2247448713915889*fhat2;
-  outr[6] += rdx2*-1.2247448713915889*fhat2;
-  outl[7] -= rdx2*1.2247448713915889*fhat3;
-  outr[7] += rdx2*-1.2247448713915889*fhat3;
+  for (int b = 0; b < B; ++b) {
+    const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[2*B+b];
+    const double fL1 = 0.70710678118654757*fl[1*B+b] + 1.2247448713915889*fl[4*B+b];
+    const double fL2 = 0.70710678118654757*fl[3*B+b] + 1.2247448713915889*fl[6*B+b];
+    const double fL3 = 0.70710678118654757*fl[5*B+b] + 1.2247448713915889*fl[7*B+b];
+    const double fR0 = 0.70710678118654757*fr[0*B+b] - 1.2247448713915889*fr[2*B+b];
+    const double fR1 = 0.70710678118654757*fr[1*B+b] - 1.2247448713915889*fr[4*B+b];
+    const double fR2 = 0.70710678118654757*fr[3*B+b] - 1.2247448713915889*fr[6*B+b];
+    const double fR3 = 0.70710678118654757*fr[5*B+b] - 1.2247448713915889*fr[7*B+b];
+    const double aL0 = 0.70710678118654757*al[0*B+b] + 1.2247448713915889*al[2*B+b];
+    const double aL1 = 0.70710678118654757*al[1*B+b] + 1.2247448713915889*al[4*B+b];
+    const double aL2 = 0.70710678118654757*al[3*B+b] + 1.2247448713915889*al[6*B+b];
+    const double aL3 = 0.70710678118654757*al[5*B+b] + 1.2247448713915889*al[7*B+b];
+    const double aR0 = 0.70710678118654757*ar[0*B+b] - 1.2247448713915889*ar[2*B+b];
+    const double aR1 = 0.70710678118654757*ar[1*B+b] - 1.2247448713915889*ar[4*B+b];
+    const double aR2 = 0.70710678118654757*ar[3*B+b] - 1.2247448713915889*ar[6*B+b];
+    const double aR3 = 0.70710678118654757*ar[5*B+b] - 1.2247448713915889*ar[7*B+b];
+    const double tau = std::fmax(0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3), 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3));
+    const double fhat0 = 0.5*(0.50000000000000033*(aL0*fL0 + aR0*fR0) + 0.50000000000000022*(aL1*fL1 + aR1*fR1) + 0.50000000000000022*(aL2*fL2 + aR2*fR2) + 0.50000000000000011*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
+    const double fhat1 = 0.5*(0.50000000000000022*(aL0*fL1 + aR0*fR1) + 0.50000000000000022*(aL1*fL0 + aR1*fR0) + 0.50000000000000011*(aL2*fL3 + aR2*fR3) + 0.50000000000000011*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
+    const double fhat2 = 0.5*(0.50000000000000022*(aL0*fL2 + aR0*fR2) + 0.50000000000000011*(aL1*fL3 + aR1*fR3) + 0.50000000000000022*(aL2*fL0 + aR2*fR0) + 0.50000000000000011*(aL3*fL1 + aR3*fR1)) - 0.5*tau*(fR2 - fL2);
+    const double fhat3 = 0.5*(0.50000000000000011*(aL0*fL3 + aR0*fR3) + 0.50000000000000011*(aL1*fL2 + aR1*fR2) + 0.50000000000000011*(aL2*fL1 + aR2*fR1) + 0.50000000000000011*(aL3*fL0 + aR3*fR0)) - 0.5*tau*(fR3 - fL3);
+    outl[0*B+b] -= rdx2*0.70710678118654757*fhat0;
+    outr[0*B+b] += rdx2*0.70710678118654757*fhat0;
+    outl[1*B+b] -= rdx2*0.70710678118654757*fhat1;
+    outr[1*B+b] += rdx2*0.70710678118654757*fhat1;
+    outl[2*B+b] -= rdx2*1.2247448713915889*fhat0;
+    outr[2*B+b] += rdx2*-1.2247448713915889*fhat0;
+    outl[3*B+b] -= rdx2*0.70710678118654757*fhat2;
+    outr[3*B+b] += rdx2*0.70710678118654757*fhat2;
+    outl[4*B+b] -= rdx2*1.2247448713915889*fhat1;
+    outr[4*B+b] += rdx2*-1.2247448713915889*fhat1;
+    outl[5*B+b] -= rdx2*0.70710678118654757*fhat3;
+    outr[5*B+b] += rdx2*0.70710678118654757*fhat3;
+    outl[6*B+b] -= rdx2*1.2247448713915889*fhat2;
+    outr[6*B+b] += rdx2*-1.2247448713915889*fhat2;
+    outl[7*B+b] -= rdx2*1.2247448713915889*fhat3;
+    outr[7*B+b] += rdx2*-1.2247448713915889*fhat3;
+  }
 }
 
-static // Surface acceleration kernel, velocity direction 1:
+// Surface acceleration kernel, velocity direction 1:
 // per-side flux expansions (paper Eq. 5) with a local Lax-Friedrichs
 // penalty bounded by the coefficient-sup estimate of |alpha| on the face.
-void vlasov_1x2v_p1_ten_accel_surf1(const double* dxv, const double* al, const double* ar, const double* fl, const double* fr, double* outl, double* outr) {
+template <int B>
+void vlasov_1x2v_p1_ten_accel_surf1(const double* __restrict dxv, const double* __restrict al, const double* __restrict ar, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
   const double rdx2 = 2.0/dxv[2];
-  const double fL0 = 0.70710678118654757*fl[0] + 1.2247448713915889*fl[3];
-  const double fL1 = 0.70710678118654757*fl[1] + 1.2247448713915889*fl[5];
-  const double fL2 = 0.70710678118654757*fl[2] + 1.2247448713915889*fl[6];
-  const double fL3 = 0.70710678118654757*fl[4] + 1.2247448713915889*fl[7];
-  const double fR0 = 0.70710678118654757*fr[0] - 1.2247448713915889*fr[3];
-  const double fR1 = 0.70710678118654757*fr[1] - 1.2247448713915889*fr[5];
-  const double fR2 = 0.70710678118654757*fr[2] - 1.2247448713915889*fr[6];
-  const double fR3 = 0.70710678118654757*fr[4] - 1.2247448713915889*fr[7];
-  const double aL0 = 0.70710678118654757*al[0] + 1.2247448713915889*al[3];
-  const double aL1 = 0.70710678118654757*al[1] + 1.2247448713915889*al[5];
-  const double aL2 = 0.70710678118654757*al[2] + 1.2247448713915889*al[6];
-  const double aL3 = 0.70710678118654757*al[4] + 1.2247448713915889*al[7];
-  const double aR0 = 0.70710678118654757*ar[0] - 1.2247448713915889*ar[3];
-  const double aR1 = 0.70710678118654757*ar[1] - 1.2247448713915889*ar[5];
-  const double aR2 = 0.70710678118654757*ar[2] - 1.2247448713915889*ar[6];
-  const double aR3 = 0.70710678118654757*ar[4] - 1.2247448713915889*ar[7];
-  const double tau = std::fmax(0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3), 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3));
-  const double fhat0 = 0.5*(0.50000000000000033*(aL0*fL0 + aR0*fR0) + 0.50000000000000022*(aL1*fL1 + aR1*fR1) + 0.50000000000000022*(aL2*fL2 + aR2*fR2) + 0.50000000000000011*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
-  const double fhat1 = 0.5*(0.50000000000000022*(aL0*fL1 + aR0*fR1) + 0.50000000000000022*(aL1*fL0 + aR1*fR0) + 0.50000000000000011*(aL2*fL3 + aR2*fR3) + 0.50000000000000011*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
-  const double fhat2 = 0.5*(0.50000000000000022*(aL0*fL2 + aR0*fR2) + 0.50000000000000011*(aL1*fL3 + aR1*fR3) + 0.50000000000000022*(aL2*fL0 + aR2*fR0) + 0.50000000000000011*(aL3*fL1 + aR3*fR1)) - 0.5*tau*(fR2 - fL2);
-  const double fhat3 = 0.5*(0.50000000000000011*(aL0*fL3 + aR0*fR3) + 0.50000000000000011*(aL1*fL2 + aR1*fR2) + 0.50000000000000011*(aL2*fL1 + aR2*fR1) + 0.50000000000000011*(aL3*fL0 + aR3*fR0)) - 0.5*tau*(fR3 - fL3);
-  outl[0] -= rdx2*0.70710678118654757*fhat0;
-  outr[0] += rdx2*0.70710678118654757*fhat0;
-  outl[1] -= rdx2*0.70710678118654757*fhat1;
-  outr[1] += rdx2*0.70710678118654757*fhat1;
-  outl[2] -= rdx2*0.70710678118654757*fhat2;
-  outr[2] += rdx2*0.70710678118654757*fhat2;
-  outl[3] -= rdx2*1.2247448713915889*fhat0;
-  outr[3] += rdx2*-1.2247448713915889*fhat0;
-  outl[4] -= rdx2*0.70710678118654757*fhat3;
-  outr[4] += rdx2*0.70710678118654757*fhat3;
-  outl[5] -= rdx2*1.2247448713915889*fhat1;
-  outr[5] += rdx2*-1.2247448713915889*fhat1;
-  outl[6] -= rdx2*1.2247448713915889*fhat2;
-  outr[6] += rdx2*-1.2247448713915889*fhat2;
-  outl[7] -= rdx2*1.2247448713915889*fhat3;
-  outr[7] += rdx2*-1.2247448713915889*fhat3;
+  for (int b = 0; b < B; ++b) {
+    const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[3*B+b];
+    const double fL1 = 0.70710678118654757*fl[1*B+b] + 1.2247448713915889*fl[5*B+b];
+    const double fL2 = 0.70710678118654757*fl[2*B+b] + 1.2247448713915889*fl[6*B+b];
+    const double fL3 = 0.70710678118654757*fl[4*B+b] + 1.2247448713915889*fl[7*B+b];
+    const double fR0 = 0.70710678118654757*fr[0*B+b] - 1.2247448713915889*fr[3*B+b];
+    const double fR1 = 0.70710678118654757*fr[1*B+b] - 1.2247448713915889*fr[5*B+b];
+    const double fR2 = 0.70710678118654757*fr[2*B+b] - 1.2247448713915889*fr[6*B+b];
+    const double fR3 = 0.70710678118654757*fr[4*B+b] - 1.2247448713915889*fr[7*B+b];
+    const double aL0 = 0.70710678118654757*al[0*B+b] + 1.2247448713915889*al[3*B+b];
+    const double aL1 = 0.70710678118654757*al[1*B+b] + 1.2247448713915889*al[5*B+b];
+    const double aL2 = 0.70710678118654757*al[2*B+b] + 1.2247448713915889*al[6*B+b];
+    const double aL3 = 0.70710678118654757*al[4*B+b] + 1.2247448713915889*al[7*B+b];
+    const double aR0 = 0.70710678118654757*ar[0*B+b] - 1.2247448713915889*ar[3*B+b];
+    const double aR1 = 0.70710678118654757*ar[1*B+b] - 1.2247448713915889*ar[5*B+b];
+    const double aR2 = 0.70710678118654757*ar[2*B+b] - 1.2247448713915889*ar[6*B+b];
+    const double aR3 = 0.70710678118654757*ar[4*B+b] - 1.2247448713915889*ar[7*B+b];
+    const double tau = std::fmax(0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3), 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3));
+    const double fhat0 = 0.5*(0.50000000000000033*(aL0*fL0 + aR0*fR0) + 0.50000000000000022*(aL1*fL1 + aR1*fR1) + 0.50000000000000022*(aL2*fL2 + aR2*fR2) + 0.50000000000000011*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
+    const double fhat1 = 0.5*(0.50000000000000022*(aL0*fL1 + aR0*fR1) + 0.50000000000000022*(aL1*fL0 + aR1*fR0) + 0.50000000000000011*(aL2*fL3 + aR2*fR3) + 0.50000000000000011*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
+    const double fhat2 = 0.5*(0.50000000000000022*(aL0*fL2 + aR0*fR2) + 0.50000000000000011*(aL1*fL3 + aR1*fR3) + 0.50000000000000022*(aL2*fL0 + aR2*fR0) + 0.50000000000000011*(aL3*fL1 + aR3*fR1)) - 0.5*tau*(fR2 - fL2);
+    const double fhat3 = 0.5*(0.50000000000000011*(aL0*fL3 + aR0*fR3) + 0.50000000000000011*(aL1*fL2 + aR1*fR2) + 0.50000000000000011*(aL2*fL1 + aR2*fR1) + 0.50000000000000011*(aL3*fL0 + aR3*fR0)) - 0.5*tau*(fR3 - fL3);
+    outl[0*B+b] -= rdx2*0.70710678118654757*fhat0;
+    outr[0*B+b] += rdx2*0.70710678118654757*fhat0;
+    outl[1*B+b] -= rdx2*0.70710678118654757*fhat1;
+    outr[1*B+b] += rdx2*0.70710678118654757*fhat1;
+    outl[2*B+b] -= rdx2*0.70710678118654757*fhat2;
+    outr[2*B+b] += rdx2*0.70710678118654757*fhat2;
+    outl[3*B+b] -= rdx2*1.2247448713915889*fhat0;
+    outr[3*B+b] += rdx2*-1.2247448713915889*fhat0;
+    outl[4*B+b] -= rdx2*0.70710678118654757*fhat3;
+    outr[4*B+b] += rdx2*0.70710678118654757*fhat3;
+    outl[5*B+b] -= rdx2*1.2247448713915889*fhat1;
+    outr[5*B+b] += rdx2*-1.2247448713915889*fhat1;
+    outl[6*B+b] -= rdx2*1.2247448713915889*fhat2;
+    outr[6*B+b] += rdx2*-1.2247448713915889*fhat2;
+    outl[7*B+b] -= rdx2*1.2247448713915889*fhat3;
+    outr[7*B+b] += rdx2*-1.2247448713915889*fhat3;
+  }
 }
+
+}  // namespace
 
 void registerKernels() {
   VlasovCompiledKernels k;
   k.numPhaseModes = 8;
-  k.streamVol = vlasov_1x2v_p1_ten_stream_vol;
-  k.accelVol = vlasov_1x2v_p1_ten_accel_vol;
-  k.streamSurf[0] = vlasov_1x2v_p1_ten_stream_surf0;
-  k.accelSurf[0] = vlasov_1x2v_p1_ten_accel_surf0;
-  k.accelSurf[1] = vlasov_1x2v_p1_ten_accel_surf1;
+  k.byLanes[0].lanes = 1;
+  k.byLanes[0].streamVol = vlasov_1x2v_p1_ten_stream_vol<1>;
+  k.byLanes[0].accelVol = vlasov_1x2v_p1_ten_accel_vol<1>;
+  k.byLanes[0].streamSurf[0] = vlasov_1x2v_p1_ten_stream_surf0<1>;
+  k.byLanes[0].accelSurf[0] = vlasov_1x2v_p1_ten_accel_surf0<1>;
+  k.byLanes[0].accelSurf[1] = vlasov_1x2v_p1_ten_accel_surf1<1>;
+  k.byLanes[1].lanes = 4;
+  k.byLanes[1].streamVol = vlasov_1x2v_p1_ten_stream_vol<4>;
+  k.byLanes[1].accelVol = vlasov_1x2v_p1_ten_accel_vol<4>;
+  k.byLanes[1].streamSurf[0] = vlasov_1x2v_p1_ten_stream_surf0<4>;
+  k.byLanes[1].accelSurf[0] = vlasov_1x2v_p1_ten_accel_surf0<4>;
+  k.byLanes[1].accelSurf[1] = vlasov_1x2v_p1_ten_accel_surf1<4>;
+  k.byLanes[2].lanes = 8;
+  k.byLanes[2].streamVol = vlasov_1x2v_p1_ten_stream_vol<8>;
+  k.byLanes[2].accelVol = vlasov_1x2v_p1_ten_accel_vol<8>;
+  k.byLanes[2].streamSurf[0] = vlasov_1x2v_p1_ten_stream_surf0<8>;
+  k.byLanes[2].accelSurf[0] = vlasov_1x2v_p1_ten_accel_surf0<8>;
+  k.byLanes[2].accelSurf[1] = vlasov_1x2v_p1_ten_accel_surf1<8>;
   registerCompiledKernels("1x2v_p1_ten", k);
 }
 

@@ -41,35 +41,13 @@ const VlasovCompiledKernels* findCompiledKernels(const std::string& specName) {
 
 void registerCompiledKernels(const std::string& specName, const VlasovCompiledKernels& k) {
   std::scoped_lock lock(tableMutex());
-  auto [it, inserted] = table().try_emplace(specName);
+  auto [it, inserted] = table().try_emplace(specName, k);
   if (!inserted) {
-    // A batched translation unit may legitimately have created the entry
-    // first; only a previously-registered *scalar* set counts as a
-    // duplicate. Keep whatever batched slots are already attached.
-    if (it->second.streamVol != nullptr) {
-      ++duplicateCount();
-      std::cerr << "vdg: warning: duplicate compiled-kernel registration for spec '" << specName
-                << "' (last registration wins)\n";
-    }
+    ++duplicateCount();
+    std::cerr << "vdg: warning: duplicate compiled-kernel registration for spec '" << specName
+              << "' (last registration wins)\n";
+    it->second = k;
   }
-  VlasovBatchedKernels saved[kNumKernelBatchLanes];
-  for (int i = 0; i < kNumKernelBatchLanes; ++i) saved[i] = it->second.batched[i];
-  it->second = k;
-  for (int i = 0; i < kNumKernelBatchLanes; ++i)
-    if (it->second.batched[i].lanes == 0 && saved[i].lanes != 0) it->second.batched[i] = saved[i];
-}
-
-void registerBatchedKernels(const std::string& specName, const VlasovBatchedKernels& b) {
-  std::scoped_lock lock(tableMutex());
-  VlasovCompiledKernels& entry = table()[specName];
-  for (int i = 0; i < kNumKernelBatchLanes; ++i) {
-    if (kKernelBatchLanes[i] == b.lanes) {
-      entry.batched[i] = b;
-      return;
-    }
-  }
-  std::cerr << "vdg: warning: batched-kernel registration for spec '" << specName
-            << "' with unsupported lane count " << b.lanes << " ignored\n";
 }
 
 int numCompiledKernelSets() {
@@ -96,12 +74,12 @@ std::vector<std::string> describeCompiledKernelSpecs() {
     std::ostringstream os;
     os << name << ": " << k.numPhaseModes << " modes";
     bool any = false;
-    for (const VlasovBatchedKernels& b : k.batched) {
+    for (const VlasovLaneKernels& b : k.byLanes) {
       if (b.lanes == 0) continue;
       os << (any ? "," : ", batch lanes {") << b.lanes;
       any = true;
     }
-    os << (any ? "}" : ", scalar only");
+    if (any) os << "}";
     lines.push_back(os.str());
   }
   return lines;
@@ -113,10 +91,7 @@ void logKernelDispatch(const std::string& specName, bool compiled, int batchLane
   std::ostringstream os;
   os << "vdg: kernels: " << specName << " -> "
      << (compiled ? "compiled" : "tape-interpreted");
-  if (batchLanes > 1)
-    os << ", batched B=" << batchLanes << " (AoSoA lane loop active)";
-  else
-    os << ", scalar cell loop";
+  if (compiled) os << ", B=" << batchLanes << " blocks";
   const std::string line = os.str();
   std::scoped_lock lock(m);
   if (logged.insert(line).second) std::cerr << line << "\n";

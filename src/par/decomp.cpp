@@ -67,29 +67,6 @@ void searchBlocks(const Grid& conf, int cdim, int dim, int ranks,
 
 }  // namespace
 
-SlabDecomp SlabDecomp::make(int totalCells, int numRanks, int dim, bool periodic) {
-  if (numRanks < 1 || totalCells < numRanks)
-    throw std::invalid_argument("SlabDecomp: need at least one cell per rank");
-  SlabDecomp d;
-  d.dim = dim;
-  d.numRanks = numRanks;
-  d.periodic = periodic;
-  partition(totalCells, numRanks, d.start, d.count);
-  return d;
-}
-
-int SlabDecomp::neighbor(int rank, int side) const {
-  const int n = rank + side;
-  if (n >= 0 && n < numRanks) return n;
-  if (!periodic) return kNoNeighbor;
-  return (n + numRanks) % numRanks;
-}
-
-Grid SlabDecomp::localGrid(const Grid& global, int rank) const {
-  return global.subgrid(dim, start[static_cast<std::size_t>(rank)],
-                        count[static_cast<std::size_t>(rank)]);
-}
-
 CartDecomp CartDecomp::make(const Grid& confGrid, int numRanks) {
   std::array<bool, kMaxDim> allPeriodic{};
   allPeriodic.fill(true);

@@ -17,27 +17,6 @@ namespace vdg {
 /// the edge-owning rank applies the physical boundary condition instead.
 inline constexpr int kNoNeighbor = -1;
 
-/// Slab decomposition of configuration dimension `dim` into `numRanks`
-/// contiguous, near-equal extents (the 1-D special case of CartDecomp,
-/// kept for the analytic model and simple call sites).
-struct SlabDecomp {
-  int dim = 0;
-  int numRanks = 1;
-  bool periodic = true;    ///< wrap at the domain edges of `dim`
-  std::vector<int> start;  ///< per rank, first owned cell index
-  std::vector<int> count;  ///< per rank, number of owned cells
-
-  static SlabDecomp make(int totalCells, int numRanks, int dim = 0, bool periodic = true);
-
-  /// Rank one slab over on `side` (-1 lower, +1 upper): periodic wrap, or
-  /// kNoNeighbor across a non-periodic domain edge.
-  [[nodiscard]] int neighbor(int rank, int side) const;
-
-  /// Local phase grid of a rank: the global grid with dimension `dim`
-  /// restricted to the rank's slab (a bit-exact Grid::subgrid window).
-  [[nodiscard]] Grid localGrid(const Grid& global, int rank) const;
-};
-
 /// Multi-dimensional block decomposition of the first `cdim` (configuration)
 /// dimensions of a grid into numRanks = prod(blocks) near-equal blocks.
 /// Rank order is odometer over block coordinates, dimension 0 fastest.

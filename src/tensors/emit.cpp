@@ -22,26 +22,21 @@ std::string num(double v) {
   return s;
 }
 
-/// Array-element rendering for the two emission modes. Scalar kernels
-/// address one cell: `f[3]`. Batched kernels address an AoSoA block of B
-/// cells (mode-major, lane-minor) from inside a `for (int b...)` lane
-/// loop: `f[3*B+b]`.
-struct Lane {
-  bool on = false;
-  [[nodiscard]] std::string at(const std::string& arr, int i) const {
-    return arr + "[" + std::to_string(i) + (on ? "*B+b]" : "]");
-  }
-};
+/// Element i of the current lane b of an AoSoA block of B cells
+/// (mode-major, lane-minor), addressed from inside the `for (int b...)`
+/// lane loop: `f[3*B+b]`.
+std::string at(const std::string& arr, int i) {
+  return arr + "[" + std::to_string(i) + "*B+b]";
+}
 
 /// Accumulates source text plus operation counts.
 struct CodeWriter {
   std::ostringstream os;
   std::size_t mults = 0;
   std::size_t adds = 0;
-  std::string indent = "  ";  ///< batched bodies sit inside the lane loop
-
   void line(const std::string& s) { os << s << "\n"; }
-  void body(const std::string& s) { os << indent << s << "\n"; }
+  /// A statement of the lane loop's body.
+  void body(const std::string& s) { os << "    " << s << "\n"; }
 
   /// Render "c1*x1 + c2*x2 + ..." counting one multiply per term and one
   /// add per joint; returns "0.0" for an empty sum.
@@ -70,16 +65,16 @@ struct CodeWriter {
 
 std::string fnPrefix(const BasisSpec& spec) { return "vlasov_" + spec.name(); }
 
-/// Parameter-list rendering: batched kernels take __restrict-qualified
-/// pointers (the pack/scatter layer guarantees disjoint buffers), which
-/// lets the compiler vectorize the lane loop without alias versioning.
-std::string params(const Lane& lane, std::initializer_list<std::pair<const char*, const char*>> ps) {
+/// Parameter-list rendering: kernels take __restrict-qualified pointers
+/// (the pack/scatter layer guarantees disjoint buffers), which lets the
+/// compiler vectorize the lane loop without alias versioning.
+std::string params(std::initializer_list<std::pair<const char*, const char*>> ps) {
   std::string s;
   bool first = true;
   for (const auto& [type, name] : ps) {
     if (!first) s += ", ";
     first = false;
-    s += std::string(type) + (lane.on ? "* __restrict " : "* ") + name;
+    s += std::string(type) + "* __restrict " + name;
   }
   return s;
 }
@@ -94,45 +89,35 @@ std::map<int, std::vector<typename Tape::Term>> groupByOut(const Tape& tape) {
 
 }  // namespace
 
-EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec, bool batched) {
+EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const int np = ks.numPhaseModes;
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName = fnPrefix(spec) + "_stream_vol" + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_stream_vol";
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Volume streaming kernel (exact DG volume integral of div_x (v f)),");
   w.line("// auto-generated for the " + spec.name() + " basis (" + std::to_string(np) +
          " DOF/cell).");
-  if (batched) {
-    w.line("// Batched AoSoA variant: arrays hold B cells mode-major/lane-minor");
-    w.line("// ([i*B+b]); per lane the FP operation order matches the scalar kernel.");
-    w.line("template <int B>");
-  } else {
-    w.line("// Inputs: cell center w, cell size dxv, distribution coefficients f;");
-    w.line("// out is incremented with the forward-Euler volume contribution.");
-  }
+  w.line("// Inputs: cell centers w, cell size dxv, distribution coefficients f;");
+  w.line("// out is incremented with the forward-Euler volume contribution.");
+  w.line("template <int B>");
   w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "w"},
-                       {"const double", "dxv"},
-                       {"const double", "f"},
-                       {"double", "out"}}) +
+         params({{"const double", "w"},
+                 {"const double", "dxv"},
+                 {"const double", "f"},
+                 {"double", "out"}}) +
          ") {");
   for (int d = 0; d < ks.cdim; ++d) {
     const int vd = ks.cdim + d;
     const std::string sd = std::to_string(d);
     w.line("  const double rdx2_" + sd + " = 2.0/dxv[" + sd + "];");
-    if (!batched) w.line("  const double wv_" + sd + " = w[" + std::to_string(vd) + "];");
     w.line("  const double hdv_" + sd + " = 0.5*dxv[" + std::to_string(vd) + "];");
     w.mults += 2;
   }
-  if (batched) {
-    w.line("  for (int b = 0; b < B; ++b) {");
-    for (int d = 0; d < ks.cdim; ++d)
-      w.body("const double wv_" + std::to_string(d) + " = " + lane.at("w", ks.cdim + d) + ";");
-  }
+  w.line("  for (int b = 0; b < B; ++b) {");
+  for (int d = 0; d < ks.cdim; ++d)
+    w.body("const double wv_" + std::to_string(d) + " = " + at("w", ks.cdim + d) + ";");
   for (int l = 0; l < np; ++l) {
     for (int d = 0; d < ks.cdim; ++d) {
       // (c0*wv + c1*hdv) * f[n], gathered per n.
@@ -155,14 +140,14 @@ EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec, bool batched) {
         std::vector<std::pair<double, std::string>> parts;
         if (c0 != 0.0) parts.emplace_back(c0, "wv_" + sd);
         if (c1 != 0.0) parts.emplace_back(c1, "hdv_" + sd);
-        expr += "(" + w.sum(parts) + ")*" + lane.at("f", n);
+        expr += "(" + w.sum(parts) + ")*" + at("f", n);
         ++w.mults;
       }
-      w.body(lane.at("out", l) + " += rdx2_" + sd + "*(" + expr + ");");
+      w.body(at("out", l) + " += rdx2_" + sd + "*(" + expr + ");");
       ++w.mults;
     }
   }
-  if (batched) w.line("  }");
+  w.line("  }");
   w.line("}");
   out.source = w.os.str();
   out.multiplies = w.mults;
@@ -170,27 +155,22 @@ EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec, bool batched) {
   return out;
 }
 
-EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched) {
+EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const int np = ks.numPhaseModes;
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName = fnPrefix(spec) + "_accel_vol" + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_accel_vol";
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Volume acceleration kernel (exact DG volume integral of div_v (alpha f));");
   w.line("// alpha is the per-cell phase-space flux expansion, vdim x " + std::to_string(np) +
          " coefficients.");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B cells per call, lane-minor layout).");
-    w.line("template <int B>");
-  }
+  w.line("template <int B>");
   w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "dxv"},
-                       {"const double", "alpha"},
-                       {"const double", "f"},
-                       {"double", "out"}}) +
+         params({{"const double", "dxv"},
+                 {"const double", "alpha"},
+                 {"const double", "f"},
+                 {"double", "out"}}) +
          ") {");
   for (int j = 0; j < ks.vdim; ++j) {
     const int d = ks.cdim + j;
@@ -198,7 +178,7 @@ EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched) {
            "];");
     ++w.mults;
   }
-  if (batched) w.line("  for (int b = 0; b < B; ++b) {");
+  w.line("  for (int b = 0; b < B; ++b) {");
   for (int j = 0; j < ks.vdim; ++j) {
     const int d = ks.cdim + j;
     const auto grouped = groupByOut(ks.volume[static_cast<std::size_t>(d)]);
@@ -214,14 +194,14 @@ EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched) {
           expr += "-";
         }
         const double a = t.c < 0 ? -t.c : t.c;
-        expr += num(a) + "*" + lane.at("alpha", off + t.m) + "*" + lane.at("f", t.n);
+        expr += num(a) + "*" + at("alpha", off + t.m) + "*" + at("f", t.n);
         w.mults += 2;
       }
-      w.body(lane.at("out", l) + " += rdv2_" + std::to_string(j) + "*(" + expr + ");");
+      w.body(at("out", l) + " += rdv2_" + std::to_string(j) + "*(" + expr + ");");
       ++w.mults;
     }
   }
-  if (batched) w.line("  }");
+  w.line("  }");
   w.line("}");
   out.source = w.os.str();
   out.multiplies = w.mults;
@@ -232,12 +212,12 @@ EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched) {
 namespace {
 
 /// Emit face-trace assignments: name_k = sum psiEnd * src[l], one local
-/// variable per face mode (per lane in batched mode).
+/// variable per face mode and lane.
 void emitTrace(CodeWriter& w, const FaceMap& fm, const std::string& name, const std::string& src,
-               bool plusSide, const Lane& lane) {
+               bool plusSide) {
   std::map<int, std::vector<std::pair<double, std::string>>> byFace;
   for (const FaceMap::Entry& e : fm.entries)
-    byFace[e.face].emplace_back(plusSide ? e.atPlus : e.atMinus, lane.at(src, e.vol));
+    byFace[e.face].emplace_back(plusSide ? e.atPlus : e.atMinus, at(src, e.vol));
   for (int k = 0; k < fm.numFaceModes; ++k) {
     auto it = byFace.find(k);
     w.body("const double " + name + std::to_string(k) + " = " +
@@ -246,12 +226,12 @@ void emitTrace(CodeWriter& w, const FaceMap& fm, const std::string& name, const 
 }
 
 /// Emit the two diagonal lifts of fhat into outl/outr.
-void emitLifts(CodeWriter& w, const FaceMap& fm, const std::string& rdx2, const Lane& lane) {
+void emitLifts(CodeWriter& w, const FaceMap& fm, const std::string& rdx2) {
   for (const FaceMap::Entry& e : fm.entries) {
     // outl[l] -= rdx2 * psiEnd(+1) * fhat_k ; outr[l] += rdx2 * psiEnd(-1) * fhat_k.
-    w.body(lane.at("outl", e.vol) + " -= " + rdx2 + "*" + num(e.atPlus) + "*fhat" +
+    w.body(at("outl", e.vol) + " -= " + rdx2 + "*" + num(e.atPlus) + "*fhat" +
            std::to_string(e.face) + ";");
-    w.body(lane.at("outr", e.vol) + " += " + rdx2 + "*" + num(e.atMinus) + "*fhat" +
+    w.body(at("outr", e.vol) + " += " + rdx2 + "*" + num(e.atMinus) + "*fhat" +
            std::to_string(e.face) + ";");
     w.mults += 4;
   }
@@ -259,44 +239,35 @@ void emitLifts(CodeWriter& w, const FaceMap& fm, const std::string& rdx2, const 
 
 }  // namespace
 
-EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir, bool batched) {
+EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const FaceMap& fm = ks.faceMap[static_cast<std::size_t>(dir)];
   const int nf = fm.numFaceModes;
   const int vd = ks.cdim + dir;
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName =
-      fnPrefix(spec) + "_stream_surf" + std::to_string(dir) + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_stream_surf" + std::to_string(dir);
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Surface streaming kernel, configuration direction " + std::to_string(dir) + ":");
   w.line("// local Lax-Friedrichs flux Fhat = v favg - (tau/2)(fr - fl) on the shared");
   w.line("// face, lifted into both adjacent cells (fl: left/lower cell, fr: right).");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B faces per call, lane-minor layout).");
-    w.line("template <int B>");
-  }
+  w.line("template <int B>");
   w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "w"},
-                       {"const double", "dxv"},
-                       {"const double", "fl"},
-                       {"const double", "fr"},
-                       {"double", "outl"},
-                       {"double", "outr"}}) +
+         params({{"const double", "w"},
+                 {"const double", "dxv"},
+                 {"const double", "fl"},
+                 {"const double", "fr"},
+                 {"double", "outl"},
+                 {"double", "outr"}}) +
          ") {");
   w.line("  const double rdx2 = 2.0/dxv[" + std::to_string(dir) + "];");
-  if (!batched) w.line("  const double wv = w[" + std::to_string(vd) + "];");
   w.line("  const double hdv = 0.5*dxv[" + std::to_string(vd) + "];");
-  if (batched) {
-    w.line("  for (int b = 0; b < B; ++b) {");
-    w.body("const double wv = " + lane.at("w", vd) + ";");
-  }
+  w.line("  for (int b = 0; b < B; ++b) {");
+  w.body("const double wv = " + at("w", vd) + ";");
   w.body("const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));");
   w.mults += 3;
-  emitTrace(w, fm, "fL", "fl", /*plusSide=*/true, lane);
-  emitTrace(w, fm, "fR", "fr", /*plusSide=*/false, lane);
+  emitTrace(w, fm, "fL", "fl", /*plusSide=*/true);
+  emitTrace(w, fm, "fR", "fr", /*plusSide=*/false);
   for (int k = 0; k < nf; ++k) {
     const std::string sk = std::to_string(k);
     w.body("const double favg" + sk + " = 0.5*(fL" + sk + " + fR" + sk + ");");
@@ -317,8 +288,8 @@ EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir, bool ba
     w.adds += 3;
     w.body("const double fhat" + sk + " = " + expr + ";");
   }
-  emitLifts(w, fm, "rdx2", lane);
-  if (batched) w.line("  }");
+  emitLifts(w, fm, "rdx2");
+  w.line("  }");
   w.line("}");
   out.source = w.os.str();
   out.multiplies = w.mults;
@@ -326,42 +297,36 @@ EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir, bool ba
   return out;
 }
 
-EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j, bool batched) {
+EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const int d = ks.cdim + j;
   const FaceMap& fm = ks.faceMap[static_cast<std::size_t>(d)];
   const int nf = fm.numFaceModes;
   const std::vector<double>& sup = ks.faceSup[static_cast<std::size_t>(d)];
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName =
-      fnPrefix(spec) + "_accel_surf" + std::to_string(j) + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_accel_surf" + std::to_string(j);
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Surface acceleration kernel, velocity direction " + std::to_string(j) + ":");
   w.line("// per-side flux expansions (paper Eq. 5) with a local Lax-Friedrichs");
   w.line("// penalty bounded by the coefficient-sup estimate of |alpha| on the face.");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B faces per call, lane-minor layout).");
-    w.line("template <int B>");
-  }
+  w.line("template <int B>");
   w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "dxv"},
-                       {"const double", "al"},
-                       {"const double", "ar"},
-                       {"const double", "fl"},
-                       {"const double", "fr"},
-                       {"double", "outl"},
-                       {"double", "outr"}}) +
+         params({{"const double", "dxv"},
+                 {"const double", "al"},
+                 {"const double", "ar"},
+                 {"const double", "fl"},
+                 {"const double", "fr"},
+                 {"double", "outl"},
+                 {"double", "outr"}}) +
          ") {");
   w.line("  const double rdx2 = 2.0/dxv[" + std::to_string(d) + "];");
   ++w.mults;
-  if (batched) w.line("  for (int b = 0; b < B; ++b) {");
-  emitTrace(w, fm, "fL", "fl", true, lane);
-  emitTrace(w, fm, "fR", "fr", false, lane);
-  emitTrace(w, fm, "aL", "al", true, lane);
-  emitTrace(w, fm, "aR", "ar", false, lane);
+  w.line("  for (int b = 0; b < B; ++b) {");
+  emitTrace(w, fm, "fL", "fl", true);
+  emitTrace(w, fm, "fR", "fr", false);
+  emitTrace(w, fm, "aL", "al", true);
+  emitTrace(w, fm, "aR", "ar", false);
   {
     std::string bl = "0.0", br = "0.0";
     for (int k = 0; k < nf; ++k) {
@@ -401,8 +366,8 @@ EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j, bool batched)
     w.mults += 2;
     w.adds += 2;
   }
-  emitLifts(w, fm, "rdx2", lane);
-  if (batched) w.line("  }");
+  emitLifts(w, fm, "rdx2");
+  w.line("  }");
   w.line("}");
   out.source = w.os.str();
   out.multiplies = w.mults;
@@ -417,12 +382,16 @@ std::string emitKernelTranslationUnit(const BasisSpec& spec) {
      << "// Exact (alias-free) modal DG Vlasov kernels for the " << spec.name() << " basis,\n"
      << "// rendered from the symbolically integrated sparse tensors with all\n"
      << "// constants folded to double precision (the paper's Maxima-CAS workflow).\n"
+     << "// Each kernel updates an AoSoA block of B cells (mode-major, lane-minor:\n"
+     << "// element i of lane b at [i*B+b]) and is instantiated at every\n"
+     << "// kKernelBatchLanes entry; B = 1 is the one-cell kernel. Per lane the FP\n"
+     << "// operation order is the same at every B (tests/test_batch.cpp).\n"
      << "// Regenerate with: gen_kernels <output-dir>\n"
      << "// ============================================================================\n"
      << "// clang-format off\n"
      << "#include <cmath>\n\n"
      << "#include \"kernels/registry.hpp\"\n\n"
-     << "namespace vdg::gen_" << spec.name() << " {\n\n";
+     << "namespace vdg::gen_" << spec.name() << " {\nnamespace {\n\n";
 
   const VlasovKernelSet& ks = vlasovKernels(spec);
   std::vector<EmittedKernel> kernels;
@@ -431,76 +400,29 @@ std::string emitKernelTranslationUnit(const BasisSpec& spec) {
   for (int d = 0; d < ks.cdim; ++d) kernels.push_back(emitStreamingSurfaceKernel(spec, d));
   for (int j = 0; j < ks.vdim; ++j) kernels.push_back(emitAccelSurfaceKernel(spec, j));
 
-  for (const EmittedKernel& k : kernels) {
-    // Make the functions static and internal to the namespace.
-    os << "static " << k.source << "\n";
-  }
+  for (const EmittedKernel& k : kernels) os << k.source << "\n";
 
-  os << "void registerKernels() {\n"
+  const std::string fn = fnPrefix(spec);
+  os << "}  // namespace\n\n"
+     << "void registerKernels() {\n"
      << "  VlasovCompiledKernels k;\n"
-     << "  k.numPhaseModes = " << ks.numPhaseModes << ";\n"
-     << "  k.streamVol = " << fnPrefix(spec) << "_stream_vol;\n"
-     << "  k.accelVol = " << fnPrefix(spec) << "_accel_vol;\n";
-  for (int d = 0; d < ks.cdim; ++d)
-    os << "  k.streamSurf[" << d << "] = " << fnPrefix(spec) << "_stream_surf" << d << ";\n";
-  for (int j = 0; j < ks.vdim; ++j)
-    os << "  k.accelSurf[" << j << "] = " << fnPrefix(spec) << "_accel_surf" << j << ";\n";
+     << "  k.numPhaseModes = " << ks.numPhaseModes << ";\n";
+  for (int i = 0; i < kNumKernelBatchLanes; ++i) {
+    const std::string lanes = std::to_string(kKernelBatchLanes[i]);
+    const std::string set = "  k.byLanes[" + std::to_string(i) + "].";
+    os << set << "lanes = " << lanes << ";\n"
+       << set << "streamVol = " << fn << "_stream_vol<" << lanes << ">;\n"
+       << set << "accelVol = " << fn << "_accel_vol<" << lanes << ">;\n";
+    for (int d = 0; d < ks.cdim; ++d)
+      os << set << "streamSurf[" << d << "] = " << fn << "_stream_surf" << d << "<" << lanes
+         << ">;\n";
+    for (int j = 0; j < ks.vdim; ++j)
+      os << set << "accelSurf[" << j << "] = " << fn << "_accel_surf" << j << "<" << lanes
+         << ">;\n";
+  }
   os << "  registerCompiledKernels(\"" << spec.name() << "\", k);\n"
      << "}\n\n"
      << "}  // namespace vdg::gen_" << spec.name() << "\n";
-  return os.str();
-}
-
-std::string emitBatchedKernelTranslationUnit(const BasisSpec& spec) {
-  std::ostringstream os;
-  os << "// ============================================================================\n"
-     << "// AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.\n"
-     << "// SIMD-batched (AoSoA) modal DG Vlasov kernels for the " << spec.name() << " basis:\n"
-     << "// the scalar kernels of vlasov_" << spec.name() << ".cpp with the cell index turned\n"
-     << "// into an inner lane loop over a block of B cells (mode-major, lane-minor\n"
-     << "// layout, element i of lane b at [i*B+b]) so the compiler autovectorizes\n"
-     << "// across cells. Per lane the FP operation order is identical to the scalar\n"
-     << "// kernel — the batched path is bitwise reproducible (tests/test_batch.cpp).\n"
-     << "// This translation unit is compiled with the VDG_KERNEL_SIMD flags (wider\n"
-     << "// ISA + -ffp-contract=off); the scalar units keep the baseline ISA.\n"
-     << "// Regenerate with: gen_kernels <output-dir>\n"
-     << "// ============================================================================\n"
-     << "// clang-format off\n"
-     << "#include <cmath>\n\n"
-     << "#include \"kernels/registry.hpp\"\n\n"
-     << "namespace vdg::gen_" << spec.name() << "_batch {\nnamespace {\n\n";
-
-  const VlasovKernelSet& ks = vlasovKernels(spec);
-  std::vector<EmittedKernel> kernels;
-  kernels.push_back(emitStreamingVolumeKernel(spec, /*batched=*/true));
-  kernels.push_back(emitAccelVolumeKernel(spec, /*batched=*/true));
-  for (int d = 0; d < ks.cdim; ++d)
-    kernels.push_back(emitStreamingSurfaceKernel(spec, d, /*batched=*/true));
-  for (int j = 0; j < ks.vdim; ++j)
-    kernels.push_back(emitAccelSurfaceKernel(spec, j, /*batched=*/true));
-
-  for (const EmittedKernel& k : kernels) os << k.source << "\n";
-
-  os << "}  // namespace\n\n"
-     << "void registerKernels() {\n";
-  for (int i = 0; i < kNumKernelBatchLanes; ++i) {
-    const int lanes = kKernelBatchLanes[i];
-    os << "  {\n"
-       << "    VlasovBatchedKernels b;\n"
-       << "    b.lanes = " << lanes << ";\n"
-       << "    b.streamVol = " << fnPrefix(spec) << "_stream_vol_bat<" << lanes << ">;\n"
-       << "    b.accelVol = " << fnPrefix(spec) << "_accel_vol_bat<" << lanes << ">;\n";
-    for (int d = 0; d < ks.cdim; ++d)
-      os << "    b.streamSurf[" << d << "] = " << fnPrefix(spec) << "_stream_surf" << d
-         << "_bat<" << lanes << ">;\n";
-    for (int j = 0; j < ks.vdim; ++j)
-      os << "    b.accelSurf[" << j << "] = " << fnPrefix(spec) << "_accel_surf" << j
-         << "_bat<" << lanes << ">;\n";
-    os << "    registerBatchedKernels(\"" << spec.name() << "\", b);\n"
-       << "  }\n";
-  }
-  os << "}\n\n"
-     << "}  // namespace vdg::gen_" << spec.name() << "_batch\n";
   return os.str();
 }
 

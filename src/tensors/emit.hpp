@@ -13,10 +13,20 @@
 //   - surface acceleration kernel, one per velocity direction
 //     (inputs dxv, alpha_left/right, f_left/right -> both cells)
 //
-// tools/gen_kernels renders whole kernel sets into src/kernels/gen/, which
-// are compiled into the library and dispatched through kernels/registry.hpp
-// (the solver falls back to tape execution for specs without generated
-// kernels). Tests assert generated == tape to machine precision.
+// Every kernel is emitted once, as a `template <int B>` function over an
+// AoSoA block of B cells laid out mode-major, lane-minor (element i of
+// lane b at [i*B+b]; `dxv` alone is one vector shared by every lane): the
+// contraction sits inside an inner lane loop, with __restrict pointer
+// parameters so the compiler vectorizes across cells.
+// tools/gen_kernels renders one translation unit per spec into
+// src/kernels/gen/, instantiated at every kKernelBatchLanes entry
+// (B = 1, 4, 8) and dispatched through kernels/registry.hpp. With B = 1
+// the block layout is the plain cell layout, so the B = 1 instantiation
+// is the one-cell kernel; per lane every instantiation performs the same
+// floating-point operations in the same order, which keeps all lane
+// counts bitwise identical. The solver falls back to tape execution for
+// specs without generated kernels; tests assert generated == tape to
+// machine precision.
 
 #include <cstddef>
 #include <string>
@@ -32,50 +42,33 @@ struct EmittedKernel {
   std::size_t adds = 0;
 };
 
-/// Every emitter below renders a scalar (one-cell) kernel by default.
-/// With `batched = true` it renders the SIMD-batched AoSoA variant
-/// instead: a `template <int B>` function whose body wraps the same
-/// contraction in an inner lane loop over a block of B cells laid out
-/// mode-major, lane-minor (element i of lane b at [i*B+b]), with
-/// __restrict pointer parameters so the compiler autovectorizes across
-/// cells. Per lane the floating-point operation order is identical to the
-/// scalar kernel, keeping the batched path bitwise reproducible.
-
 /// Volume streaming kernel: the exact DG volume integral of div_x (v f)
 /// over all configuration directions (the paper's Fig. 1 kernel shape).
 ///   void f(const double* w, const double* dxv, const double* f, double* out)
-[[nodiscard]] EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec,
-                                                     bool batched = false);
+[[nodiscard]] EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec);
 
 /// Volume acceleration kernel: div_v (alpha f) over all velocity
 /// directions; `alpha` is the per-cell flux expansion (vdim * Np).
 ///   void f(const double* dxv, const double* alpha, const double* f, double* out)
-[[nodiscard]] EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched = false);
+[[nodiscard]] EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec);
 
 /// Surface streaming kernel for configuration direction `dir`: evaluates
 /// the penalty (local Lax-Friedrichs) numerical flux on the shared face of
 /// a left/right cell pair and lifts it into both cells.
 ///   void f(const double* w, const double* dxv,
 ///          const double* fl, const double* fr, double* outl, double* outr)
-[[nodiscard]] EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir,
-                                                      bool batched = false);
+[[nodiscard]] EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir);
 
 /// Surface acceleration kernel for velocity direction `j` (phase dir
 /// cdim + j), with per-side flux expansions as in paper Eq. 5.
 ///   void f(const double* dxv, const double* al, const double* ar,
 ///          const double* fl, const double* fr, double* outl, double* outr)
-[[nodiscard]] EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j,
-                                                  bool batched = false);
+[[nodiscard]] EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j);
 
-/// Render the complete translation unit (all kernels above + registry
-/// registration) for one spec. This is what tools/gen_kernels writes into
-/// src/kernels/gen/.
+/// Render the complete translation unit for one spec: every kernel above,
+/// instantiated and registered for each kKernelBatchLanes entry. This is
+/// what tools/gen_kernels writes into src/kernels/gen/; the build compiles
+/// it with the VDG_KERNEL_SIMD flags.
 [[nodiscard]] std::string emitKernelTranslationUnit(const BasisSpec& spec);
-
-/// Render the sibling SIMD-batched translation unit (vlasov_<spec>_batch.cpp):
-/// `template <int B>` AoSoA variants of every kernel above, instantiated
-/// and registered for each kKernelBatchLanes entry via
-/// registerBatchedKernels(). Compiled with the VDG_KERNEL_SIMD flags.
-[[nodiscard]] std::string emitBatchedKernelTranslationUnit(const BasisSpec& spec);
 
 }  // namespace vdg

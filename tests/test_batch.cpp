@@ -1,14 +1,17 @@
-// Tests of the SIMD-batched (AoSoA) kernel execution path: the batched
-// kernels and tape executors must reproduce the scalar path BITWISE — per
-// lane they perform the same floating-point operations in the same order
-// (dg/batch.hpp documents the contract), so every comparison here is
+// Tests of the blocked (AoSoA) kernel execution path: the generated
+// kernels at every lane count and the blocked tape executors must agree
+// BITWISE with the one-cell computation (B = 1 kernels, Tape::execute) —
+// per lane they perform the same floating-point operations in the same
+// order (dg/batch.hpp documents the contract), so every comparison here is
 // exact equality, not a tolerance.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
 #include <random>
@@ -186,17 +189,16 @@ TEST(Batch, BatchedTapeExecutorsMatchScalarBitwise) {
 
 // ------------------------------------------------- registry capabilities
 
-TEST(Batch, RegistryOffersBatchedSetsForEveryGeneratedSpec) {
+TEST(Batch, RegistryOffersEveryLaneCountForEveryGeneratedSpec) {
   for (const std::string& name : listCompiledKernelSpecs()) {
     if (name == "0x0v_p0_test") continue;  // fake entry other tests register
     const VlasovCompiledKernels* ck = findCompiledKernels(name);
     ASSERT_NE(ck, nullptr) << name;
-    // Every generated spec carries a batched sibling for each lane count.
     const int cdim = name[0] - '0';
     const int vdim = name[2] - '0';
     for (const int lanes : kKernelBatchLanes)
-      EXPECT_NE(ck->findBatched(lanes, cdim, vdim), nullptr) << name << " B=" << lanes;
-    EXPECT_EQ(ck->maxBatchLanes(cdim, vdim), 8) << name;
+      EXPECT_NE(ck->forLanes(lanes, cdim, vdim), nullptr) << name << " B=" << lanes;
+    EXPECT_EQ(ck->maxLanes(cdim, vdim), 8) << name;
   }
 }
 
@@ -207,7 +209,7 @@ TEST(Batch, DescribeCompiledKernelSpecsReportsLaneCounts) {
     if (line.find("2x3v_p2_ser") == 0) {
       found = true;
       EXPECT_NE(line.find("112 modes"), std::string::npos) << line;
-      EXPECT_NE(line.find("batch lanes {4,8}"), std::string::npos) << line;
+      EXPECT_NE(line.find("batch lanes {1,4,8}"), std::string::npos) << line;
     }
   EXPECT_TRUE(found);
   // The plain spec listing stays pure names (consumers parse it).
@@ -223,7 +225,10 @@ TEST_P(BatchedBySpec, KernelsMatchScalarBitwise) {
   const BasisSpec spec = GetParam();
   const int cdim = spec.cdim, vdim = spec.vdim, ndim = spec.ndim();
   const int np = basisFor(spec).numModes();
-  const VlasovCompiledKernels* ck = findCompiledKernels(spec.name());
+  const VlasovCompiledKernels* compiled = findCompiledKernels(spec.name());
+  ASSERT_NE(compiled, nullptr);
+  // The one-cell reference: the B = 1 instantiation, called per lane.
+  const VlasovLaneKernels* ck = compiled->forLanes(1, cdim, vdim);
   ASSERT_NE(ck, nullptr);
 
   std::mt19937 rng(101);
@@ -232,8 +237,8 @@ TEST_P(BatchedBySpec, KernelsMatchScalarBitwise) {
   std::vector<double> dxv(static_cast<std::size_t>(ndim));
   for (double& x : dxv) x = ud(rng);
 
-  for (const int B : kKernelBatchLanes) {
-    const VlasovBatchedKernels* bk = ck->findBatched(B, cdim, vdim);
+  for (const int B : {4, 8}) {
+    const VlasovLaneKernels* bk = compiled->forLanes(B, cdim, vdim);
     ASSERT_NE(bk, nullptr) << spec.name() << " B=" << B;
 
     // Per-lane random inputs.
@@ -435,6 +440,115 @@ INSTANTIATE_TEST_SUITE_P(Specs, VlasovBatchedUpdater,
                                            BasisSpec{2, 3, 2, BasisFamily::Serendipity}),
                          [](const auto& info) { return info.param.name(); });
 
+// ------------------------------------------- pinned advance() digests
+
+/// splitmix64: a fixed generator, so the pinned digests below do not
+/// depend on the standard library's <random> distributions.
+struct SplitMix64 {
+  std::uint64_t s;
+  std::uint64_t next() {
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  /// Uniform in [-1, 1).
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53 * 2.0 - 1.0; }
+};
+
+/// FNV-1a over the bytes of every interior rhs coefficient (cell odometer
+/// order) after the returned CFL frequency, of one advance() with EM on a
+/// splitmix64-seeded f and field.
+std::uint64_t advanceDigest(const BasisSpec& spec, int lanes) {
+  // Distinct extents per dimension, and counts that leave remainders at
+  // B = 4 and B = 8 in both the velocity boxes and the face lines.
+  static const int kCells[7][6] = {{},           {},           {9, 13},           {9, 13, 11},
+                                   {5, 3, 5, 3}, {3, 2, 3, 4, 3}, {3, 2, 2, 3, 2, 3}};
+  Grid pg;
+  pg.ndim = spec.ndim();
+  for (int d = 0; d < pg.ndim; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    pg.cells[ds] = kCells[pg.ndim][d];
+    pg.lower[ds] = d < spec.cdim ? 0.0 : -3.7;
+    pg.upper[ds] = d < spec.cdim ? 2.0 + d : 4.1;
+  }
+  Grid cg;
+  cg.ndim = spec.cdim;
+  for (std::size_t d = 0; d < static_cast<std::size_t>(spec.cdim); ++d) {
+    cg.cells[d] = pg.cells[d];
+    cg.lower[d] = pg.lower[d];
+    cg.upper[d] = pg.upper[d];
+  }
+  const auto seeded = [](const Grid& g, int ncomp, std::uint64_t seed) {
+    Field out(g, ncomp);
+    SplitMix64 rng{seed};
+    forEachCell(g, [&](const MultiIndex& idx) {
+      double* c = out.at(idx);
+      for (int k = 0; k < ncomp; ++k) c[k] = rng.uniform();
+    });
+    return out;
+  };
+  const int np = basisFor(spec).numModes();
+  const int npc = basisFor(spec.configSpec()).numModes();
+  VlasovUpdater up(spec, pg, VlasovParams{});
+  up.setBatchLanes(lanes);
+  Field f = seeded(pg, np, 1);
+  Field em = seeded(cg, kEmComps * npc, 2);
+  for (int d = 0; d < spec.cdim; ++d) {
+    f.syncPeriodic(d);
+    em.syncPeriodic(d);
+  }
+  Field rhs(pg, np);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](double x) {
+    const auto u = std::bit_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (u >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  add(up.advance(f, &em, rhs));
+  forEachCell(pg, [&](const MultiIndex& idx) {
+    const double* c = rhs.at(idx);
+    for (int l = 0; l < np; ++l) add(c[l]);
+  });
+  return h;
+}
+
+TEST(Batch, AdvanceDigestsMatchTheRetiredScalarKernels) {
+  // Recorded with the one-cell generated kernels this kernel family
+  // replaced (batch lanes 1, compiled without SIMD flags); the B = 1
+  // instantiation and the auto lane count must reproduce them bit for bit.
+  const std::pair<BasisSpec, std::uint64_t> pinned[] = {
+      {{1, 1, 1, BasisFamily::Tensor}, 0xe7180ecf249d4d87ULL},
+      {{1, 1, 2, BasisFamily::Tensor}, 0xd13b60c3e0607c8aULL},
+      {{1, 1, 2, BasisFamily::Serendipity}, 0x1e23dc148475f409ULL},
+      {{1, 1, 3, BasisFamily::Serendipity}, 0x4cba6197b4bea368ULL},
+      {{1, 1, 3, BasisFamily::Tensor}, 0x24e871ff5f47d913ULL},
+      {{1, 2, 1, BasisFamily::Tensor}, 0x54a8fa265f395b42ULL},
+      {{1, 2, 1, BasisFamily::Serendipity}, 0x54a8fa265f395b42ULL},
+      {{1, 2, 2, BasisFamily::Serendipity}, 0x1cbd6221b8cd2301ULL},
+      {{1, 2, 2, BasisFamily::Tensor}, 0xf8c3d906e00b4b51ULL},
+      {{1, 2, 3, BasisFamily::Serendipity}, 0x73788bb7510ac975ULL},
+      {{1, 3, 1, BasisFamily::Serendipity}, 0xd3a332f51dbc609aULL},
+      {{1, 3, 1, BasisFamily::Tensor}, 0xd3a332f51dbc609aULL},
+      {{1, 3, 2, BasisFamily::Serendipity}, 0x5a87cc331fd110c6ULL},
+      {{2, 2, 1, BasisFamily::Serendipity}, 0xa1930a3121cd42f9ULL},
+      {{2, 2, 1, BasisFamily::Tensor}, 0xa1930a3121cd42f9ULL},
+      {{2, 2, 2, BasisFamily::Serendipity}, 0x2e6e701e87698779ULL},
+      {{2, 3, 1, BasisFamily::Serendipity}, 0x98b819debd6d328fULL},
+      {{2, 3, 1, BasisFamily::Tensor}, 0x98b819debd6d328fULL},
+      {{2, 3, 2, BasisFamily::Serendipity}, 0xa45ded4227ab59e4ULL},
+      {{3, 3, 1, BasisFamily::Serendipity}, 0x438a2f6bc49043e5ULL},
+      {{3, 3, 1, BasisFamily::MaximalOrder}, 0x2eab6490d91873c2ULL},
+  };
+  for (const auto& [spec, expected] : pinned)
+    for (const int lanes : {1, 0})
+      EXPECT_EQ(advanceDigest(spec, lanes), expected)
+          << spec.name() << " lanes=" << lanes << std::hex << " got 0x"
+          << advanceDigest(spec, lanes);
+}
+
 // ------------------------------------------ updater-level identity (LBO)
 
 TEST(Batch, LboAdvanceMatchesScalarBitwiseWithRemainders) {
@@ -458,6 +572,10 @@ TEST(Batch, LboAdvanceMatchesScalarBitwiseWithRemainders) {
 
   LboUpdater lbo(spec, pg, LboParams{1.0, 2.5, true});
 
+  // Widths outside kKernelBatchLanes fall back to 1 (the per-lane
+  // scratch is sized for the widest entry).
+  lbo.setBatchLanes(16);
+  EXPECT_EQ(lbo.activeBatchLanes(), 1);
   lbo.setBatchLanes(1);
   EXPECT_EQ(lbo.activeBatchLanes(), 1);
   Field rhsScalar(pg, np);

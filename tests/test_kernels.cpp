@@ -76,7 +76,7 @@ TEST(CompiledKernels, DuplicateRegistrationIsCountedAndLastWins) {
   EXPECT_EQ(static_cast<int>(listCompiledKernelSpecs().size()), numCompiledKernelSets());
   const VlasovCompiledKernels* now = findCompiledKernels("1x1v_p1_ten");
   ASSERT_NE(now, nullptr);
-  EXPECT_EQ(now->streamVol, saved.streamVol);
+  EXPECT_EQ(now->byLanes[0].streamVol, saved.byLanes[0].streamVol);
 
   // A registration for a fresh spec name is not a duplicate (on repeat
   // runs the fake entry already exists, so it counts as one then).
@@ -162,16 +162,32 @@ TEST(CompiledKernels, CentralFluxFallsBackToTapes) {
   EXPECT_FALSE(up.usesCompiledKernels());
 }
 
-INSTANTIATE_TEST_SUITE_P(Specs, CompiledBySpec,
-                         ::testing::Values(BasisSpec{1, 1, 1, BasisFamily::Tensor},
-                                           BasisSpec{1, 1, 2, BasisFamily::Serendipity},
-                                           BasisSpec{1, 2, 1, BasisFamily::Tensor},
-                                           BasisSpec{1, 2, 2, BasisFamily::Serendipity},
-                                           BasisSpec{1, 3, 1, BasisFamily::Serendipity},
-                                           BasisSpec{2, 2, 1, BasisFamily::Serendipity},
-                                           BasisSpec{2, 2, 2, BasisFamily::Serendipity},
-                                           BasisSpec{2, 3, 1, BasisFamily::Serendipity},
-                                           BasisSpec{2, 3, 2, BasisFamily::Serendipity}),
+/// Every spec tools/gen_kernels generates.
+const BasisSpec kGeneratedSpecs[] = {
+    {1, 1, 1, BasisFamily::Tensor},      {1, 1, 2, BasisFamily::Tensor},
+    {1, 1, 2, BasisFamily::Serendipity}, {1, 1, 3, BasisFamily::Serendipity},
+    {1, 1, 3, BasisFamily::Tensor},      {1, 2, 1, BasisFamily::Tensor},
+    {1, 2, 1, BasisFamily::Serendipity}, {1, 2, 2, BasisFamily::Serendipity},
+    {1, 2, 2, BasisFamily::Tensor},      {1, 2, 3, BasisFamily::Serendipity},
+    {1, 3, 1, BasisFamily::Serendipity}, {1, 3, 1, BasisFamily::Tensor},
+    {1, 3, 2, BasisFamily::Serendipity}, {2, 2, 1, BasisFamily::Serendipity},
+    {2, 2, 1, BasisFamily::Tensor},      {2, 2, 2, BasisFamily::Serendipity},
+    {2, 3, 1, BasisFamily::Serendipity}, {2, 3, 1, BasisFamily::Tensor},
+    {2, 3, 2, BasisFamily::Serendipity}, {3, 3, 1, BasisFamily::Serendipity},
+    {3, 3, 1, BasisFamily::MaximalOrder},
+};
+
+TEST(CompiledKernels, GeneratedSpecListCoversTheRegistry) {
+  std::vector<std::string> listed;
+  for (const BasisSpec& spec : kGeneratedSpecs) listed.push_back(spec.name());
+  std::sort(listed.begin(), listed.end());
+  std::vector<std::string> registered = listCompiledKernelSpecs();
+  // The fake entry DuplicateRegistrationIsCountedAndLastWins registers.
+  std::erase(registered, "0x0v_p0_test");
+  EXPECT_EQ(listed, registered);
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, CompiledBySpec, ::testing::ValuesIn(kGeneratedSpecs),
                          [](const auto& info) { return info.param.name(); });
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Parallel substrate tests: the ThreadExec pool, the slab/Cartesian
-// decompositions (including the degenerate and uneven cases the
+// Parallel substrate tests: the ThreadExec pool, the Cartesian
+// decomposition (including the degenerate and uneven cases the
 // distributed layer must survive), the packed halo-slab format of Field,
 // and the analytic scaling-model helpers. The end-to-end rank-parallel
 // identity tests live in test_distributed.cpp.
@@ -70,34 +70,6 @@ TEST(ThreadExec, ParallelForEachCellMatchesSerialOrderPerChunk) {
   // Nullable-executor fallback covers the same cells serially.
   parallelForEachCell(nullptr, g, [&](const MultiIndex& idx) { visited.at(idx)[0] += 1.0; });
   forEachCell(g, [&](const MultiIndex& idx) { EXPECT_EQ(visited.at(idx)[0], 2.0); });
-}
-
-TEST(SlabDecomp, PartitionsExactly) {
-  const SlabDecomp d = SlabDecomp::make(17, 4);
-  ASSERT_EQ(d.count.size(), 4u);
-  int total = 0, pos = 0;
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(d.start[static_cast<std::size_t>(r)], pos);
-    pos += d.count[static_cast<std::size_t>(r)];
-    total += d.count[static_cast<std::size_t>(r)];
-    EXPECT_GE(d.count[static_cast<std::size_t>(r)], 4);
-  }
-  EXPECT_EQ(total, 17);
-  EXPECT_THROW(SlabDecomp::make(2, 4), std::invalid_argument);
-}
-
-TEST(SlabDecomp, LocalGridsTileTheDomain) {
-  const Grid g = Grid::make({12, 8}, {0.0, -1.0}, {3.0, 1.0});
-  const SlabDecomp d = SlabDecomp::make(12, 3);
-  double lo = g.lower[0];
-  for (int r = 0; r < 3; ++r) {
-    const Grid lg = d.localGrid(g, r);
-    EXPECT_NEAR(lg.lower[0], lo, 1e-14);
-    EXPECT_NEAR(lg.dx(0), g.dx(0), 1e-14);
-    EXPECT_EQ(lg.cells[1], 8);
-    lo = lg.upper[0];
-  }
-  EXPECT_NEAR(lo, g.upper[0], 1e-14);
 }
 
 TEST(Factor3, NearCubicFactorizations) {
@@ -178,23 +150,49 @@ TEST(CartDecomp, FindsExactTilingsGreedyPlacementWouldMiss) {
   EXPECT_EQ(e.blocks[1], 2);
 }
 
-TEST(SlabDecomp, NonPeriodicEdgesHaveNoNeighbor) {
+TEST(CartDecomp, OneDimUnevenCountsPartitionExactly) {
+  // 17 cells over 4 ranks: contiguous near-equal blocks (5,4,4,4) whose
+  // local grids tile the domain.
+  const Grid conf = Grid::make({17}, {0.0}, {3.0});
+  const CartDecomp d = CartDecomp::make(conf, 4);
+  ASSERT_EQ(d.blocks[0], 4);
+  int pos = 0;
+  double lo = conf.lower[0];
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(d.start[0][static_cast<std::size_t>(r)], pos);
+    EXPECT_GE(d.count[0][static_cast<std::size_t>(r)], 4);
+    pos += d.count[0][static_cast<std::size_t>(r)];
+    const Grid lg = d.localGrid(conf, r);
+    EXPECT_NEAR(lg.lower[0], lo, 1e-14);
+    lo = lg.upper[0];
+  }
+  EXPECT_EQ(pos, 17);
+  EXPECT_NEAR(lo, conf.upper[0], 1e-14);
+}
+
+TEST(CartDecomp, OneDimNonPeriodicEdgesAndSingleRank) {
+  std::array<bool, kMaxDim> walls{};
+  walls.fill(true);
+  walls[0] = false;
   // Uneven counts (17 over 4) with walls: interior neighbors are intact,
   // the two domain edges return the sentinel instead of wrapping.
-  const SlabDecomp d = SlabDecomp::make(17, 4, 0, /*periodic=*/false);
-  EXPECT_EQ(d.neighbor(0, -1), kNoNeighbor);
-  EXPECT_EQ(d.neighbor(3, +1), kNoNeighbor);
-  EXPECT_EQ(d.neighbor(0, +1), 1);
-  EXPECT_EQ(d.neighbor(2, -1), 1);
-  // Periodic default wraps as before.
-  const SlabDecomp p = SlabDecomp::make(17, 4);
-  EXPECT_EQ(p.neighbor(0, -1), 3);
-  EXPECT_EQ(p.neighbor(3, +1), 0);
-  // Single-rank slab: periodic is its own neighbor, walled has none.
-  const SlabDecomp one = SlabDecomp::make(6, 1, 0, /*periodic=*/false);
-  EXPECT_EQ(one.neighbor(0, -1), kNoNeighbor);
-  EXPECT_EQ(one.neighbor(0, +1), kNoNeighbor);
-  EXPECT_EQ(SlabDecomp::make(6, 1).neighbor(0, +1), 0);
+  const Grid conf = Grid::make({17}, {0.0}, {1.0});
+  const CartDecomp d = CartDecomp::make(conf, 4, walls);
+  EXPECT_EQ(d.neighbor(0, 0, -1), kNoNeighbor);
+  EXPECT_EQ(d.neighbor(3, 0, +1), kNoNeighbor);
+  EXPECT_EQ(d.neighbor(0, 0, +1), 1);
+  EXPECT_EQ(d.neighbor(2, 0, -1), 1);
+  // Periodic default wraps.
+  const CartDecomp p = CartDecomp::make(conf, 4);
+  EXPECT_EQ(p.neighbor(0, 0, -1), 3);
+  EXPECT_EQ(p.neighbor(3, 0, +1), 0);
+  // Single rank: periodic is its own neighbor, walled has none.
+  const Grid six = Grid::make({6}, {0.0}, {1.0});
+  const CartDecomp one = CartDecomp::make(six, 1, walls);
+  EXPECT_EQ(one.neighbor(0, 0, -1), kNoNeighbor);
+  EXPECT_EQ(one.neighbor(0, 0, +1), kNoNeighbor);
+  EXPECT_EQ(CartDecomp::make(six, 1).neighbor(0, 0, +1), 0);
+  EXPECT_EQ(CartDecomp::make(six, 1).neighbor(0, 0, -1), 0);
 }
 
 TEST(CartDecomp, NonPeriodicDimsReturnTheSentinelAtDomainEdges) {

@@ -87,6 +87,22 @@ class TraceSummaryContract(unittest.TestCase):
         self.assertLess(proc.stdout.index(" step"), proc.stdout.index("vlasov:elc"))
         self.assertNotIn("halo:pack", proc.stdout.split("halo fraction")[0])
 
+    def test_span_share_divides_by_summed_rank_spans(self):
+        # Rank 0 spans 0..100us, rank 1 spans 50..250us: 300us of rank
+        # time, all of it inside step zones -> step is 100% of span, and
+        # the 80us vlasov zone is 26.7%.
+        events = [
+            x("step", 0, 0.0, 100.0),
+            x("step", 1, 50.0, 200.0),
+            x("vlasov:elc", 1, 60.0, 80.0),
+        ]
+        proc = self.run_tool(self.write("t.json", {"traceEvents": events}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        step_line = next(l for l in proc.stdout.splitlines() if l.strip().startswith("step"))
+        self.assertTrue(step_line.endswith("100.0%"), step_line)
+        vlasov_line = next(l for l in proc.stdout.splitlines() if "vlasov:elc" in l)
+        self.assertTrue(vlasov_line.endswith("26.7%"), vlasov_line)
+
     def test_bare_array_form_accepted(self):
         proc = self.run_tool(self.write("t.json", two_rank_trace()["traceEvents"]))
         self.assertEqual(proc.returncode, 0, proc.stderr)

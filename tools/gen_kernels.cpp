@@ -1,7 +1,9 @@
-// Kernel generator driver (the role Maxima plays for Gkeyll): renders the
-// pre-generated C++ kernel translation units for a curated set of basis
-// specs into the given output directory (normally src/kernels/gen/, checked
-// into the repository like Gkeyll's generated kernels).
+// Kernel generator driver (the role Maxima plays for Gkeyll): renders one
+// pre-generated C++ kernel translation unit per basis spec, plus the
+// registration manifest, into the given output directory (normally
+// src/kernels/gen/, checked into the repository like Gkeyll's generated
+// kernels; the gen_kernels_up_to_date test diffs a fresh rendering against
+// it).
 //
 // Usage: gen_kernels <output-dir>
 
@@ -54,29 +56,14 @@ int main(int argc, char** argv) {
   };
 
   for (const BasisSpec& spec : specs) {
-    {
-      const std::string path = outDir + "/vlasov_" + spec.name() + ".cpp";
-      std::ofstream os(path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-      }
-      os << emitKernelTranslationUnit(spec);
-      std::printf("wrote %s\n", path.c_str());
+    const std::string path = outDir + "/vlasov_" + spec.name() + ".cpp";
+    std::ofstream os(path);
+    if (!os) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
     }
-    {
-      // Sibling SIMD-batched unit; separate file so the build can give it
-      // wider-ISA flags (VDG_KERNEL_SIMD) while the scalar unit keeps the
-      // baseline ISA.
-      const std::string path = outDir + "/vlasov_" + spec.name() + "_batch.cpp";
-      std::ofstream os(path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-      }
-      os << emitBatchedKernelTranslationUnit(spec);
-      std::printf("wrote %s\n", path.c_str());
-    }
+    os << emitKernelTranslationUnit(spec);
+    std::printf("wrote %s\n", path.c_str());
   }
 
   // Manifest: the registry calls this to register every generated set
@@ -86,15 +73,11 @@ int main(int argc, char** argv) {
     std::ofstream os(path);
     os << "// AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.\n"
        << "// Registration manifest for the generated kernel translation units.\n";
-    for (const BasisSpec& spec : specs) {
-      os << "namespace vdg::gen_" << spec.name() << " { void registerKernels(); }\n"
-         << "namespace vdg::gen_" << spec.name() << "_batch { void registerKernels(); }\n";
-    }
+    for (const BasisSpec& spec : specs)
+      os << "namespace vdg::gen_" << spec.name() << " { void registerKernels(); }\n";
     os << "\nnamespace vdg::detail {\n\nvoid registerGeneratedKernels() {\n";
-    for (const BasisSpec& spec : specs) {
-      os << "  vdg::gen_" << spec.name() << "::registerKernels();\n"
-         << "  vdg::gen_" << spec.name() << "_batch::registerKernels();\n";
-    }
+    for (const BasisSpec& spec : specs)
+      os << "  vdg::gen_" << spec.name() << "::registerKernels();\n";
     os << "}\n\n}  // namespace vdg::detail\n";
     std::printf("wrote %s\n", path.c_str());
   }

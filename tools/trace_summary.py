@@ -6,7 +6,8 @@ DistributedSimulation::writeTrace) and prints, without leaving the
 terminal for a trace viewer:
 
   * the top-N zones by total duration (count, total ms, share of the
-    busiest rank's span),
+    summed per-rank span: zone totals sum over every rank, so they are
+    divided by the sum of each rank's own max(ts+dur) - min(ts)),
   * the halo fraction: time in halo:* zones over time in step zones,
     per rank and overall — the same split bench_fig3 calibrates from,
   * per-rank imbalance: each rank's step time against the mean, and the
@@ -74,7 +75,8 @@ def main() -> int:
     zone_count = defaultdict(int)
     rank_step = defaultdict(float)  # pid -> us inside "step" zones
     rank_halo = defaultdict(float)  # pid -> us inside halo:* zones
-    rank_span = defaultdict(float)  # pid -> max(ts + dur) (trace timeline span)
+    rank_start = {}  # pid -> min(ts)
+    rank_end = defaultdict(float)  # pid -> max(ts + dur)
     complete = 0
 
     for ev in events:
@@ -102,7 +104,8 @@ def main() -> int:
         pid = ev.get("pid", 0)
         zone_total[name] += dur
         zone_count[name] += 1
-        rank_span[pid] = max(rank_span[pid], ts + dur)
+        rank_start[pid] = min(rank_start.get(pid, ts), ts)
+        rank_end[pid] = max(rank_end[pid], ts + dur)
         if name == "step":
             rank_step[pid] += dur
         if name.startswith("halo:"):
@@ -116,7 +119,9 @@ def main() -> int:
         )
         raise SystemExit(3)
 
+    rank_span = {pid: rank_end[pid] - rank_start[pid] for pid in rank_end}
     span = max(rank_span.values())
+    summed_span = sum(rank_span.values()) or 1.0  # zero-duration traces
     print(f"{args.trace}: {complete} events, {len(rank_span)} rank track(s), "
           f"span {span / 1e3:.3f} ms")
 
@@ -124,7 +129,7 @@ def main() -> int:
     print(f"  {'zone':<32} {'count':>8} {'total ms':>12} {'% of span':>10}")
     for name in sorted(zone_total, key=zone_total.get, reverse=True)[: args.top]:
         print(f"  {name:<32} {zone_count[name]:>8} {zone_total[name] / 1e3:>12.3f} "
-              f"{100.0 * zone_total[name] / span:>9.1f}%")
+              f"{100.0 * zone_total[name] / summed_span:>9.1f}%")
 
     halo_all = sum(rank_halo.values())
     step_all = sum(rank_step.values())
