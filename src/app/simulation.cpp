@@ -646,8 +646,7 @@ double Simulation::step(double dtFixed) {
         rhs(time_ + dt, stage_[0], k_);
       }
       tapRates(0.5);
-      state_.combine(0.5, state_, 0.5, stage_[0]);
-      state_.axpy(0.5 * dt, k_);
+      state_.lincomb3(0.5, state_, 0.5, stage_[0], 0.5 * dt, k_);
       break;
     }
     case Stepper::SspRk3: {
@@ -660,15 +659,13 @@ double Simulation::step(double dtFixed) {
         rhs(time_ + dt, stage_[0], k_);
       }
       tapRates(1.0 / 6.0);
-      stage_[1].combine(0.75, state_, 0.25, stage_[0]);
-      stage_[1].axpy(0.25 * dt, k_);
+      stage_[1].lincomb3(0.75, state_, 0.25, stage_[0], 0.25 * dt, k_);
       {
         const ScopedTimer zone(prof, "rk:stage3");
         rhs(time_ + 0.5 * dt, stage_[1], k_);
       }
       tapRates(2.0 / 3.0);
-      state_.combine(1.0 / 3.0, state_, 2.0 / 3.0, stage_[1]);
-      state_.axpy(2.0 / 3.0 * dt, k_);
+      state_.lincomb3(1.0 / 3.0, state_, 2.0 / 3.0, stage_[1], 2.0 / 3.0 * dt, k_);
       break;
     }
   }

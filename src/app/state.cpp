@@ -54,12 +54,14 @@ void StateVector::copyFrom(const StateVector& other) {
   for (int i = 0; i < numSlots(); ++i) slot(i).copyFrom(other.slot(i));
 }
 
-void StateVector::axpy(double a, const StateVector& other) {
-  for (int i = 0; i < numSlots(); ++i) slot(i).axpy(a, other.slot(i));
-}
-
 void StateVector::combine(double a, const StateVector& x, double b, const StateVector& y) {
   for (int i = 0; i < numSlots(); ++i) slot(i).combine(a, x.slot(i), b, y.slot(i));
+}
+
+void StateVector::lincomb3(double a, const StateVector& x, double b, const StateVector& y,
+                           double c, const StateVector& z) {
+  for (int i = 0; i < numSlots(); ++i)
+    slot(i).lincomb3(a, x.slot(i), b, y.slot(i), c, z.slot(i));
 }
 
 }  // namespace vdg

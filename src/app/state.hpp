@@ -5,7 +5,7 @@
 // function per species (slot name = species name) plus, by convention, the
 // configuration-space EM field under the reserved name "em". The steppers
 // (app/simulation.hpp) treat a StateVector as an element of a vector space
-// — combine/axpy act slot-by-slot — while the Updater pipeline addresses
+// — combine/lincomb3 act slot-by-slot — while the Updater pipeline addresses
 // individual slots through a StateView, a non-owning list of Field
 // pointers sharing the owner's slot order.
 
@@ -62,10 +62,12 @@ class StateVector {
   // Vector-space operations, applied slot-by-slot (shapes must match).
   void setZero();
   void copyFrom(const StateVector& other);
-  /// this += a * other.
-  void axpy(double a, const StateVector& other);
   /// this = a*x + b*y.
   void combine(double a, const StateVector& x, double b, const StateVector& y);
+  /// this = (a*x + b*y) + c*z (Field::lincomb3): an RK stage's combine
+  /// plus axpy in one pass over each slot.
+  void lincomb3(double a, const StateVector& x, double b, const StateVector& y, double c,
+                const StateVector& z);
 
  private:
   std::vector<std::string> names_;

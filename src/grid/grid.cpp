@@ -105,6 +105,14 @@ void Field::combine(double a, const Field& x, double b, const Field& y) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] = a * x.data_[i] + b * y.data_[i];
 }
 
+void Field::lincomb3(double a, const Field& x, double b, const Field& y, double c,
+                     const Field& z) {
+  assert(data_.size() == x.data_.size() && data_.size() == y.data_.size() &&
+         data_.size() == z.data_.size());
+  for (std::size_t i = 0; i < data_.size(); ++i)
+    data_[i] = (a * x.data_[i] + b * y.data_[i]) + c * z.data_[i];
+}
+
 void Field::copyFrom(const Field& other) {
   assert(data_.size() == other.data_.size());
   std::copy(other.data_.begin(), other.data_.end(), data_.begin());

@@ -132,6 +132,10 @@ class Field {
   void axpy(double a, const Field& other);
   /// this = a*x + b*y (shapes must match).
   void combine(double a, const Field& x, double b, const Field& y);
+  /// this = (a*x + b*y) + c*z in one pass, with the rounding of combine()
+  /// followed by axpy(c, z): bitwise the same result (grid.cpp builds
+  /// without FP contraction). Shapes must match; this may alias x, y or z.
+  void lincomb3(double a, const Field& x, double b, const Field& y, double c, const Field& z);
   void copyFrom(const Field& other);
 
   // --- contiguous halo slabs (the unit of inter-rank ghost traffic).

@@ -72,7 +72,9 @@ void vlasov_1x1v_p3_ten_stream_surf0(const double* __restrict w, const double* _
   const double hdv = 0.5*dxv[1];
   for (int b = 0; b < B; ++b) {
     const double wv = w[1*B+b];
-    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double tauL = std::fabs(wv - hdv);
+    const double tauR = std::fabs(wv + hdv);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[1*B+b] + 1.5811388300841898*fl[3*B+b] + 1.8708286933869707*fl[6*B+b];
     const double fL1 = 0.70710678118654757*fl[2*B+b] + 1.2247448713915889*fl[4*B+b] + 1.5811388300841898*fl[7*B+b] + 1.8708286933869707*fl[10*B+b];
     const double fL2 = 0.70710678118654757*fl[5*B+b] + 1.2247448713915889*fl[8*B+b] + 1.5811388300841898*fl[11*B+b] + 1.8708286933869707*fl[13*B+b];
@@ -147,7 +149,9 @@ void vlasov_1x1v_p3_ten_accel_surf0(const double* __restrict dxv, const double* 
     const double aR1 = 0.70710678118654757*ar[1*B+b] - 1.2247448713915889*ar[4*B+b] + 1.5811388300841898*ar[8*B+b] - 1.8708286933869707*ar[12*B+b];
     const double aR2 = 0.70710678118654757*ar[3*B+b] - 1.2247448713915889*ar[7*B+b] + 1.5811388300841898*ar[11*B+b] - 1.8708286933869707*ar[14*B+b];
     const double aR3 = 0.70710678118654757*ar[6*B+b] - 1.2247448713915889*ar[10*B+b] + 1.5811388300841898*ar[13*B+b] - 1.8708286933869707*ar[15*B+b];
-    const double tau = std::fmax(0.0 + 0.70710678118654757*std::fabs(aL0) + 1.2247448713915889*std::fabs(aL1) + 1.5811388300841898*std::fabs(aL2) + 1.8708286933869707*std::fabs(aL3), 0.0 + 0.70710678118654757*std::fabs(aR0) + 1.2247448713915889*std::fabs(aR1) + 1.5811388300841898*std::fabs(aR2) + 1.8708286933869707*std::fabs(aR3));
+    const double tauL = 0.0 + 0.70710678118654757*std::fabs(aL0) + 1.2247448713915889*std::fabs(aL1) + 1.5811388300841898*std::fabs(aL2) + 1.8708286933869707*std::fabs(aL3);
+    const double tauR = 0.0 + 0.70710678118654757*std::fabs(aR0) + 1.2247448713915889*std::fabs(aR1) + 1.5811388300841898*std::fabs(aR2) + 1.8708286933869707*std::fabs(aR3);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.70710678118654779*(aL0*fL0 + aR0*fR0) + 0.70710678118654757*(aL1*fL1 + aR1*fR1) + 0.70710678118654824*(aL2*fL2 + aR2*fR2) + 0.70710678118654824*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.70710678118654757*(aL0*fL1 + aR0*fR1) + 0.70710678118654757*(aL1*fL0 + aR1*fR0) + 0.63245553203367622*(aL1*fL2 + aR1*fR2) + 0.63245553203367622*(aL2*fL1 + aR2*fR1) + 0.62105900340811993*(aL2*fL3 + aR2*fR3) + 0.62105900340811993*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.70710678118654813*(aL0*fL2 + aR0*fR2) + 0.63245553203367622*(aL1*fL1 + aR1*fR1) + 0.62105900340812004*(aL1*fL3 + aR1*fR3) + 0.70710678118654813*(aL2*fL0 + aR2*fR0) + 0.45175395145262659*(aL2*fL2 + aR2*fR2) + 0.62105900340812004*(aL3*fL1 + aR3*fR1) + 0.42163702135578585*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR2 - fL2);

@@ -61,7 +61,9 @@ void vlasov_1x2v_p1_ser_stream_surf0(const double* __restrict w, const double* _
   const double hdv = 0.5*dxv[1];
   for (int b = 0; b < B; ++b) {
     const double wv = w[1*B+b];
-    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double tauL = std::fabs(wv - hdv);
+    const double tauR = std::fabs(wv + hdv);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[1*B+b];
     const double fL1 = 0.70710678118654757*fl[2*B+b] + 1.2247448713915889*fl[4*B+b];
     const double fL2 = 0.70710678118654757*fl[3*B+b] + 1.2247448713915889*fl[5*B+b];
@@ -120,7 +122,9 @@ void vlasov_1x2v_p1_ser_accel_surf0(const double* __restrict dxv, const double* 
     const double aR1 = 0.70710678118654757*ar[1*B+b] - 1.2247448713915889*ar[4*B+b];
     const double aR2 = 0.70710678118654757*ar[3*B+b] - 1.2247448713915889*ar[6*B+b];
     const double aR3 = 0.70710678118654757*ar[5*B+b] - 1.2247448713915889*ar[7*B+b];
-    const double tau = std::fmax(0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3), 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3));
+    const double tauL = 0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3);
+    const double tauR = 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.50000000000000033*(aL0*fL0 + aR0*fR0) + 0.50000000000000022*(aL1*fL1 + aR1*fR1) + 0.50000000000000022*(aL2*fL2 + aR2*fR2) + 0.50000000000000011*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.50000000000000022*(aL0*fL1 + aR0*fR1) + 0.50000000000000022*(aL1*fL0 + aR1*fR0) + 0.50000000000000011*(aL2*fL3 + aR2*fR3) + 0.50000000000000011*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.50000000000000022*(aL0*fL2 + aR0*fR2) + 0.50000000000000011*(aL1*fL3 + aR1*fR3) + 0.50000000000000022*(aL2*fL0 + aR2*fR0) + 0.50000000000000011*(aL3*fL1 + aR3*fR1)) - 0.5*tau*(fR2 - fL2);
@@ -167,7 +171,9 @@ void vlasov_1x2v_p1_ser_accel_surf1(const double* __restrict dxv, const double* 
     const double aR1 = 0.70710678118654757*ar[1*B+b] - 1.2247448713915889*ar[5*B+b];
     const double aR2 = 0.70710678118654757*ar[2*B+b] - 1.2247448713915889*ar[6*B+b];
     const double aR3 = 0.70710678118654757*ar[4*B+b] - 1.2247448713915889*ar[7*B+b];
-    const double tau = std::fmax(0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3), 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3));
+    const double tauL = 0.0 + 0.50000000000000011*std::fabs(aL0) + 0.8660254037844386*std::fabs(aL1) + 0.8660254037844386*std::fabs(aL2) + 1.4999999999999998*std::fabs(aL3);
+    const double tauR = 0.0 + 0.50000000000000011*std::fabs(aR0) + 0.8660254037844386*std::fabs(aR1) + 0.8660254037844386*std::fabs(aR2) + 1.4999999999999998*std::fabs(aR3);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.50000000000000033*(aL0*fL0 + aR0*fR0) + 0.50000000000000022*(aL1*fL1 + aR1*fR1) + 0.50000000000000022*(aL2*fL2 + aR2*fR2) + 0.50000000000000011*(aL3*fL3 + aR3*fR3)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.50000000000000022*(aL0*fL1 + aR0*fR1) + 0.50000000000000022*(aL1*fL0 + aR1*fR0) + 0.50000000000000011*(aL2*fL3 + aR2*fR3) + 0.50000000000000011*(aL3*fL2 + aR3*fR2)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.50000000000000022*(aL0*fL2 + aR0*fR2) + 0.50000000000000011*(aL1*fL3 + aR1*fR3) + 0.50000000000000022*(aL2*fL0 + aR2*fR0) + 0.50000000000000011*(aL3*fL1 + aR3*fR1)) - 0.5*tau*(fR2 - fL2);

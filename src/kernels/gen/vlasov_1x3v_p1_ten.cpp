@@ -82,7 +82,9 @@ void vlasov_1x3v_p1_ten_stream_surf0(const double* __restrict w, const double* _
   const double hdv = 0.5*dxv[1];
   for (int b = 0; b < B; ++b) {
     const double wv = w[1*B+b];
-    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double tauL = std::fabs(wv - hdv);
+    const double tauR = std::fabs(wv + hdv);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[1*B+b];
     const double fL1 = 0.70710678118654757*fl[2*B+b] + 1.2247448713915889*fl[5*B+b];
     const double fL2 = 0.70710678118654757*fl[3*B+b] + 1.2247448713915889*fl[6*B+b];
@@ -189,7 +191,9 @@ void vlasov_1x3v_p1_ten_accel_surf0(const double* __restrict dxv, const double* 
     const double aR5 = 0.70710678118654757*ar[7*B+b] - 1.2247448713915889*ar[12*B+b];
     const double aR6 = 0.70710678118654757*ar[10*B+b] - 1.2247448713915889*ar[14*B+b];
     const double aR7 = 0.70710678118654757*ar[13*B+b] - 1.2247448713915889*ar[15*B+b];
-    const double tau = std::fmax(0.0 + 0.35355339059327384*std::fabs(aL0) + 0.61237243569579458*std::fabs(aL1) + 0.61237243569579458*std::fabs(aL2) + 0.61237243569579458*std::fabs(aL3) + 1.0606601717798212*std::fabs(aL4) + 1.0606601717798212*std::fabs(aL5) + 1.0606601717798212*std::fabs(aL6) + 1.8371173070873832*std::fabs(aL7), 0.0 + 0.35355339059327384*std::fabs(aR0) + 0.61237243569579458*std::fabs(aR1) + 0.61237243569579458*std::fabs(aR2) + 0.61237243569579458*std::fabs(aR3) + 1.0606601717798212*std::fabs(aR4) + 1.0606601717798212*std::fabs(aR5) + 1.0606601717798212*std::fabs(aR6) + 1.8371173070873832*std::fabs(aR7));
+    const double tauL = 0.0 + 0.35355339059327384*std::fabs(aL0) + 0.61237243569579458*std::fabs(aL1) + 0.61237243569579458*std::fabs(aL2) + 0.61237243569579458*std::fabs(aL3) + 1.0606601717798212*std::fabs(aL4) + 1.0606601717798212*std::fabs(aL5) + 1.0606601717798212*std::fabs(aL6) + 1.8371173070873832*std::fabs(aL7);
+    const double tauR = 0.0 + 0.35355339059327384*std::fabs(aR0) + 0.61237243569579458*std::fabs(aR1) + 0.61237243569579458*std::fabs(aR2) + 0.61237243569579458*std::fabs(aR3) + 1.0606601717798212*std::fabs(aR4) + 1.0606601717798212*std::fabs(aR5) + 1.0606601717798212*std::fabs(aR6) + 1.8371173070873832*std::fabs(aR7);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.35355339059327412*(aL0*fL0 + aR0*fR0) + 0.35355339059327406*(aL1*fL1 + aR1*fR1) + 0.35355339059327406*(aL2*fL2 + aR2*fR2) + 0.35355339059327401*(aL3*fL3 + aR3*fR3) + 0.35355339059327395*(aL4*fL4 + aR4*fR4) + 0.35355339059327395*(aL5*fL5 + aR5*fR5) + 0.35355339059327395*(aL6*fL6 + aR6*fR6) + 0.35355339059327384*(aL7*fL7 + aR7*fR7)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.35355339059327406*(aL0*fL1 + aR0*fR1) + 0.35355339059327406*(aL1*fL0 + aR1*fR0) + 0.35355339059327395*(aL2*fL4 + aR2*fR4) + 0.35355339059327395*(aL3*fL5 + aR3*fR5) + 0.35355339059327395*(aL4*fL2 + aR4*fR2) + 0.35355339059327395*(aL5*fL3 + aR5*fR3) + 0.35355339059327384*(aL6*fL7 + aR6*fR7) + 0.35355339059327384*(aL7*fL6 + aR7*fR6)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.35355339059327406*(aL0*fL2 + aR0*fR2) + 0.35355339059327395*(aL1*fL4 + aR1*fR4) + 0.35355339059327406*(aL2*fL0 + aR2*fR0) + 0.35355339059327395*(aL3*fL6 + aR3*fR6) + 0.35355339059327395*(aL4*fL1 + aR4*fR1) + 0.35355339059327384*(aL5*fL7 + aR5*fR7) + 0.35355339059327395*(aL6*fL3 + aR6*fR3) + 0.35355339059327384*(aL7*fL5 + aR7*fR5)) - 0.5*tau*(fR2 - fL2);
@@ -272,7 +276,9 @@ void vlasov_1x3v_p1_ten_accel_surf1(const double* __restrict dxv, const double* 
     const double aR5 = 0.70710678118654757*ar[7*B+b] - 1.2247448713915889*ar[13*B+b];
     const double aR6 = 0.70710678118654757*ar[9*B+b] - 1.2247448713915889*ar[14*B+b];
     const double aR7 = 0.70710678118654757*ar[12*B+b] - 1.2247448713915889*ar[15*B+b];
-    const double tau = std::fmax(0.0 + 0.35355339059327384*std::fabs(aL0) + 0.61237243569579458*std::fabs(aL1) + 0.61237243569579458*std::fabs(aL2) + 0.61237243569579458*std::fabs(aL3) + 1.0606601717798212*std::fabs(aL4) + 1.0606601717798212*std::fabs(aL5) + 1.0606601717798212*std::fabs(aL6) + 1.8371173070873832*std::fabs(aL7), 0.0 + 0.35355339059327384*std::fabs(aR0) + 0.61237243569579458*std::fabs(aR1) + 0.61237243569579458*std::fabs(aR2) + 0.61237243569579458*std::fabs(aR3) + 1.0606601717798212*std::fabs(aR4) + 1.0606601717798212*std::fabs(aR5) + 1.0606601717798212*std::fabs(aR6) + 1.8371173070873832*std::fabs(aR7));
+    const double tauL = 0.0 + 0.35355339059327384*std::fabs(aL0) + 0.61237243569579458*std::fabs(aL1) + 0.61237243569579458*std::fabs(aL2) + 0.61237243569579458*std::fabs(aL3) + 1.0606601717798212*std::fabs(aL4) + 1.0606601717798212*std::fabs(aL5) + 1.0606601717798212*std::fabs(aL6) + 1.8371173070873832*std::fabs(aL7);
+    const double tauR = 0.0 + 0.35355339059327384*std::fabs(aR0) + 0.61237243569579458*std::fabs(aR1) + 0.61237243569579458*std::fabs(aR2) + 0.61237243569579458*std::fabs(aR3) + 1.0606601717798212*std::fabs(aR4) + 1.0606601717798212*std::fabs(aR5) + 1.0606601717798212*std::fabs(aR6) + 1.8371173070873832*std::fabs(aR7);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.35355339059327412*(aL0*fL0 + aR0*fR0) + 0.35355339059327406*(aL1*fL1 + aR1*fR1) + 0.35355339059327406*(aL2*fL2 + aR2*fR2) + 0.35355339059327401*(aL3*fL3 + aR3*fR3) + 0.35355339059327395*(aL4*fL4 + aR4*fR4) + 0.35355339059327395*(aL5*fL5 + aR5*fR5) + 0.35355339059327395*(aL6*fL6 + aR6*fR6) + 0.35355339059327384*(aL7*fL7 + aR7*fR7)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.35355339059327406*(aL0*fL1 + aR0*fR1) + 0.35355339059327406*(aL1*fL0 + aR1*fR0) + 0.35355339059327395*(aL2*fL4 + aR2*fR4) + 0.35355339059327395*(aL3*fL5 + aR3*fR5) + 0.35355339059327395*(aL4*fL2 + aR4*fR2) + 0.35355339059327395*(aL5*fL3 + aR5*fR3) + 0.35355339059327384*(aL6*fL7 + aR6*fR7) + 0.35355339059327384*(aL7*fL6 + aR7*fR6)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.35355339059327406*(aL0*fL2 + aR0*fR2) + 0.35355339059327395*(aL1*fL4 + aR1*fR4) + 0.35355339059327406*(aL2*fL0 + aR2*fR0) + 0.35355339059327395*(aL3*fL6 + aR3*fR6) + 0.35355339059327395*(aL4*fL1 + aR4*fR1) + 0.35355339059327384*(aL5*fL7 + aR5*fR7) + 0.35355339059327395*(aL6*fL3 + aR6*fR3) + 0.35355339059327384*(aL7*fL5 + aR7*fR5)) - 0.5*tau*(fR2 - fL2);
@@ -355,7 +361,9 @@ void vlasov_1x3v_p1_ten_accel_surf2(const double* __restrict dxv, const double* 
     const double aR5 = 0.70710678118654757*ar[6*B+b] - 1.2247448713915889*ar[13*B+b];
     const double aR6 = 0.70710678118654757*ar[8*B+b] - 1.2247448713915889*ar[14*B+b];
     const double aR7 = 0.70710678118654757*ar[11*B+b] - 1.2247448713915889*ar[15*B+b];
-    const double tau = std::fmax(0.0 + 0.35355339059327384*std::fabs(aL0) + 0.61237243569579458*std::fabs(aL1) + 0.61237243569579458*std::fabs(aL2) + 0.61237243569579458*std::fabs(aL3) + 1.0606601717798212*std::fabs(aL4) + 1.0606601717798212*std::fabs(aL5) + 1.0606601717798212*std::fabs(aL6) + 1.8371173070873832*std::fabs(aL7), 0.0 + 0.35355339059327384*std::fabs(aR0) + 0.61237243569579458*std::fabs(aR1) + 0.61237243569579458*std::fabs(aR2) + 0.61237243569579458*std::fabs(aR3) + 1.0606601717798212*std::fabs(aR4) + 1.0606601717798212*std::fabs(aR5) + 1.0606601717798212*std::fabs(aR6) + 1.8371173070873832*std::fabs(aR7));
+    const double tauL = 0.0 + 0.35355339059327384*std::fabs(aL0) + 0.61237243569579458*std::fabs(aL1) + 0.61237243569579458*std::fabs(aL2) + 0.61237243569579458*std::fabs(aL3) + 1.0606601717798212*std::fabs(aL4) + 1.0606601717798212*std::fabs(aL5) + 1.0606601717798212*std::fabs(aL6) + 1.8371173070873832*std::fabs(aL7);
+    const double tauR = 0.0 + 0.35355339059327384*std::fabs(aR0) + 0.61237243569579458*std::fabs(aR1) + 0.61237243569579458*std::fabs(aR2) + 0.61237243569579458*std::fabs(aR3) + 1.0606601717798212*std::fabs(aR4) + 1.0606601717798212*std::fabs(aR5) + 1.0606601717798212*std::fabs(aR6) + 1.8371173070873832*std::fabs(aR7);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.35355339059327412*(aL0*fL0 + aR0*fR0) + 0.35355339059327406*(aL1*fL1 + aR1*fR1) + 0.35355339059327406*(aL2*fL2 + aR2*fR2) + 0.35355339059327401*(aL3*fL3 + aR3*fR3) + 0.35355339059327395*(aL4*fL4 + aR4*fR4) + 0.35355339059327395*(aL5*fL5 + aR5*fR5) + 0.35355339059327395*(aL6*fL6 + aR6*fR6) + 0.35355339059327384*(aL7*fL7 + aR7*fR7)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.35355339059327406*(aL0*fL1 + aR0*fR1) + 0.35355339059327406*(aL1*fL0 + aR1*fR0) + 0.35355339059327395*(aL2*fL4 + aR2*fR4) + 0.35355339059327395*(aL3*fL5 + aR3*fR5) + 0.35355339059327395*(aL4*fL2 + aR4*fR2) + 0.35355339059327395*(aL5*fL3 + aR5*fR3) + 0.35355339059327384*(aL6*fL7 + aR6*fR7) + 0.35355339059327384*(aL7*fL6 + aR7*fR6)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.35355339059327406*(aL0*fL2 + aR0*fR2) + 0.35355339059327395*(aL1*fL4 + aR1*fR4) + 0.35355339059327406*(aL2*fL0 + aR2*fR0) + 0.35355339059327395*(aL3*fL6 + aR3*fR6) + 0.35355339059327395*(aL4*fL1 + aR4*fR1) + 0.35355339059327384*(aL5*fL7 + aR5*fR7) + 0.35355339059327395*(aL6*fL3 + aR6*fR3) + 0.35355339059327384*(aL7*fL5 + aR7*fR5)) - 0.5*tau*(fR2 - fL2);

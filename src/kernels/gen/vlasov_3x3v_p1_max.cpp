@@ -62,7 +62,9 @@ void vlasov_3x3v_p1_max_stream_surf0(const double* __restrict w, const double* _
   const double hdv = 0.5*dxv[3];
   for (int b = 0; b < B; ++b) {
     const double wv = w[3*B+b];
-    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double tauL = std::fabs(wv - hdv);
+    const double tauR = std::fabs(wv + hdv);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[1*B+b];
     const double fL1 = 0.70710678118654757*fl[2*B+b];
     const double fL2 = 0.70710678118654757*fl[3*B+b];
@@ -113,7 +115,9 @@ void vlasov_3x3v_p1_max_stream_surf1(const double* __restrict w, const double* _
   const double hdv = 0.5*dxv[4];
   for (int b = 0; b < B; ++b) {
     const double wv = w[4*B+b];
-    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double tauL = std::fabs(wv - hdv);
+    const double tauR = std::fabs(wv + hdv);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[2*B+b];
     const double fL1 = 0.70710678118654757*fl[1*B+b];
     const double fL2 = 0.70710678118654757*fl[3*B+b];
@@ -164,7 +168,9 @@ void vlasov_3x3v_p1_max_stream_surf2(const double* __restrict w, const double* _
   const double hdv = 0.5*dxv[5];
   for (int b = 0; b < B; ++b) {
     const double wv = w[5*B+b];
-    const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));
+    const double tauL = std::fabs(wv - hdv);
+    const double tauR = std::fabs(wv + hdv);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fL0 = 0.70710678118654757*fl[0*B+b] + 1.2247448713915889*fl[3*B+b];
     const double fL1 = 0.70710678118654757*fl[1*B+b];
     const double fL2 = 0.70710678118654757*fl[2*B+b];
@@ -237,7 +243,9 @@ void vlasov_3x3v_p1_max_accel_surf0(const double* __restrict dxv, const double* 
     const double aR3 = 0.70710678118654757*ar[3*B+b];
     const double aR4 = 0.70710678118654757*ar[5*B+b];
     const double aR5 = 0.70710678118654757*ar[6*B+b];
-    const double tau = std::fmax(0.0 + 0.17677669529663692*std::fabs(aL0) + 0.30618621784789735*std::fabs(aL1) + 0.30618621784789735*std::fabs(aL2) + 0.30618621784789735*std::fabs(aL3) + 0.30618621784789735*std::fabs(aL4) + 0.30618621784789729*std::fabs(aL5), 0.0 + 0.17677669529663692*std::fabs(aR0) + 0.30618621784789735*std::fabs(aR1) + 0.30618621784789735*std::fabs(aR2) + 0.30618621784789735*std::fabs(aR3) + 0.30618621784789735*std::fabs(aR4) + 0.30618621784789729*std::fabs(aR5));
+    const double tauL = 0.0 + 0.17677669529663692*std::fabs(aL0) + 0.30618621784789735*std::fabs(aL1) + 0.30618621784789735*std::fabs(aL2) + 0.30618621784789735*std::fabs(aL3) + 0.30618621784789735*std::fabs(aL4) + 0.30618621784789729*std::fabs(aL5);
+    const double tauR = 0.0 + 0.17677669529663692*std::fabs(aR0) + 0.30618621784789735*std::fabs(aR1) + 0.30618621784789735*std::fabs(aR2) + 0.30618621784789735*std::fabs(aR3) + 0.30618621784789735*std::fabs(aR4) + 0.30618621784789729*std::fabs(aR5);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.17677669529663717*(aL0*fL0 + aR0*fR0) + 0.17677669529663717*(aL1*fL1 + aR1*fR1) + 0.17677669529663717*(aL2*fL2 + aR2*fR2) + 0.17677669529663714*(aL3*fL3 + aR3*fR3) + 0.17677669529663714*(aL4*fL4 + aR4*fR4) + 0.17677669529663712*(aL5*fL5 + aR5*fR5)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.17677669529663717*(aL0*fL1 + aR0*fR1) + 0.17677669529663717*(aL1*fL0 + aR1*fR0)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.17677669529663717*(aL0*fL2 + aR0*fR2) + 0.17677669529663717*(aL2*fL0 + aR2*fR0)) - 0.5*tau*(fR2 - fL2);
@@ -292,7 +300,9 @@ void vlasov_3x3v_p1_max_accel_surf1(const double* __restrict dxv, const double* 
     const double aR3 = 0.70710678118654757*ar[3*B+b];
     const double aR4 = 0.70710678118654757*ar[4*B+b];
     const double aR5 = 0.70710678118654757*ar[6*B+b];
-    const double tau = std::fmax(0.0 + 0.17677669529663692*std::fabs(aL0) + 0.30618621784789735*std::fabs(aL1) + 0.30618621784789735*std::fabs(aL2) + 0.30618621784789735*std::fabs(aL3) + 0.30618621784789735*std::fabs(aL4) + 0.30618621784789729*std::fabs(aL5), 0.0 + 0.17677669529663692*std::fabs(aR0) + 0.30618621784789735*std::fabs(aR1) + 0.30618621784789735*std::fabs(aR2) + 0.30618621784789735*std::fabs(aR3) + 0.30618621784789735*std::fabs(aR4) + 0.30618621784789729*std::fabs(aR5));
+    const double tauL = 0.0 + 0.17677669529663692*std::fabs(aL0) + 0.30618621784789735*std::fabs(aL1) + 0.30618621784789735*std::fabs(aL2) + 0.30618621784789735*std::fabs(aL3) + 0.30618621784789735*std::fabs(aL4) + 0.30618621784789729*std::fabs(aL5);
+    const double tauR = 0.0 + 0.17677669529663692*std::fabs(aR0) + 0.30618621784789735*std::fabs(aR1) + 0.30618621784789735*std::fabs(aR2) + 0.30618621784789735*std::fabs(aR3) + 0.30618621784789735*std::fabs(aR4) + 0.30618621784789729*std::fabs(aR5);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.17677669529663717*(aL0*fL0 + aR0*fR0) + 0.17677669529663717*(aL1*fL1 + aR1*fR1) + 0.17677669529663717*(aL2*fL2 + aR2*fR2) + 0.17677669529663714*(aL3*fL3 + aR3*fR3) + 0.17677669529663714*(aL4*fL4 + aR4*fR4) + 0.17677669529663712*(aL5*fL5 + aR5*fR5)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.17677669529663717*(aL0*fL1 + aR0*fR1) + 0.17677669529663717*(aL1*fL0 + aR1*fR0)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.17677669529663717*(aL0*fL2 + aR0*fR2) + 0.17677669529663717*(aL2*fL0 + aR2*fR0)) - 0.5*tau*(fR2 - fL2);
@@ -347,7 +357,9 @@ void vlasov_3x3v_p1_max_accel_surf2(const double* __restrict dxv, const double* 
     const double aR3 = 0.70710678118654757*ar[3*B+b];
     const double aR4 = 0.70710678118654757*ar[4*B+b];
     const double aR5 = 0.70710678118654757*ar[5*B+b];
-    const double tau = std::fmax(0.0 + 0.17677669529663692*std::fabs(aL0) + 0.30618621784789735*std::fabs(aL1) + 0.30618621784789735*std::fabs(aL2) + 0.30618621784789735*std::fabs(aL3) + 0.30618621784789735*std::fabs(aL4) + 0.30618621784789729*std::fabs(aL5), 0.0 + 0.17677669529663692*std::fabs(aR0) + 0.30618621784789735*std::fabs(aR1) + 0.30618621784789735*std::fabs(aR2) + 0.30618621784789735*std::fabs(aR3) + 0.30618621784789735*std::fabs(aR4) + 0.30618621784789729*std::fabs(aR5));
+    const double tauL = 0.0 + 0.17677669529663692*std::fabs(aL0) + 0.30618621784789735*std::fabs(aL1) + 0.30618621784789735*std::fabs(aL2) + 0.30618621784789735*std::fabs(aL3) + 0.30618621784789735*std::fabs(aL4) + 0.30618621784789729*std::fabs(aL5);
+    const double tauR = 0.0 + 0.17677669529663692*std::fabs(aR0) + 0.30618621784789735*std::fabs(aR1) + 0.30618621784789735*std::fabs(aR2) + 0.30618621784789735*std::fabs(aR3) + 0.30618621784789735*std::fabs(aR4) + 0.30618621784789729*std::fabs(aR5);
+    const double tau = tauL < tauR ? tauR : tauL;
     const double fhat0 = 0.5*(0.17677669529663717*(aL0*fL0 + aR0*fR0) + 0.17677669529663717*(aL1*fL1 + aR1*fR1) + 0.17677669529663717*(aL2*fL2 + aR2*fR2) + 0.17677669529663714*(aL3*fL3 + aR3*fR3) + 0.17677669529663714*(aL4*fL4 + aR4*fR4) + 0.17677669529663712*(aL5*fL5 + aR5*fR5)) - 0.5*tau*(fR0 - fL0);
     const double fhat1 = 0.5*(0.17677669529663717*(aL0*fL1 + aR0*fR1) + 0.17677669529663717*(aL1*fL0 + aR1*fR0)) - 0.5*tau*(fR1 - fL1);
     const double fhat2 = 0.5*(0.17677669529663717*(aL0*fL2 + aR0*fR2) + 0.17677669529663717*(aL2*fL0 + aR2*fR0)) - 0.5*tau*(fR2 - fL2);

@@ -29,6 +29,11 @@ std::string at(const std::string& arr, int i) {
   return arr + "[" + std::to_string(i) + "*B+b]";
 }
 
+/// The local Lax-Friedrichs penalty bound max(tauL, tauR), rendered as
+/// std::max(tauL, tauR) evaluates it (the tape path's order). A select
+/// vectorizes where a call to std::fmax scalarizes the whole lane loop.
+const char* const kTauSelect = "const double tau = tauL < tauR ? tauR : tauL;";
+
 /// Accumulates source text plus operation counts.
 struct CodeWriter {
   std::ostringstream os;
@@ -264,7 +269,9 @@ EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir) {
   w.line("  const double hdv = 0.5*dxv[" + std::to_string(vd) + "];");
   w.line("  for (int b = 0; b < B; ++b) {");
   w.body("const double wv = " + at("w", vd) + ";");
-  w.body("const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));");
+  w.body("const double tauL = std::fabs(wv - hdv);");
+  w.body("const double tauR = std::fabs(wv + hdv);");
+  w.body(kTauSelect);
   w.mults += 3;
   emitTrace(w, fm, "fL", "fl", /*plusSide=*/true);
   emitTrace(w, fm, "fR", "fr", /*plusSide=*/false);
@@ -337,7 +344,9 @@ EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j) {
       w.mults += 2;
       w.adds += 2;
     }
-    w.body("const double tau = std::fmax(" + bl + ", " + br + ");");
+    w.body("const double tauL = " + bl + ";");
+    w.body("const double tauR = " + br + ";");
+    w.body(kTauSelect);
   }
   const auto gaunt = groupByOut(ks.faceProduct[static_cast<std::size_t>(d)]);
   for (int k = 0; k < nf; ++k) {

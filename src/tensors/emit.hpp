@@ -24,7 +24,16 @@
 // the block layout is the plain cell layout, so the B = 1 instantiation
 // is the one-cell kernel; per lane every instantiation performs the same
 // floating-point operations in the same order, which keeps all lane
-// counts bitwise identical. The solver falls back to tape execution for
+// counts bitwise identical.
+//
+// Lane-loop bodies call no library function other than std::fabs
+// (tests/test_kernels.cpp checks every generated spec). GCC cannot
+// vectorize std::fmax/std::fmin without finite-math, and one such call
+// compiles the whole kernel to scalar code with a call per lane. The
+// penalty bound is therefore rendered as two locals and a select,
+// `tau = tauL < tauR ? tauR : tauL`, which is the order std::max(tauL,
+// tauR) evaluates: it matches the tape path (dg/vlasov.cpp) on every
+// input, NaN included. The solver falls back to tape execution for
 // specs without generated kernels; tests assert generated == tape to
 // machine precision.
 

@@ -456,9 +456,62 @@ struct SplitMix64 {
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53 * 2.0 - 1.0; }
 };
 
-/// FNV-1a over the bytes of every interior rhs coefficient (cell odometer
-/// order) after the returned CFL frequency, of one advance() with EM on a
-/// splitmix64-seeded f and field.
+/// FNV-1a over the bytes of a sequence of doubles.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(double x) {
+    const auto u = std::bit_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (u >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// A field with every interior coefficient drawn from splitmix64(seed).
+Field seededField(const Grid& g, int ncomp, std::uint64_t seed) {
+  Field out(g, ncomp);
+  SplitMix64 rng{seed};
+  forEachCell(g, [&](const MultiIndex& idx) {
+    double* c = out.at(idx);
+    for (int k = 0; k < ncomp; ++k) c[k] = rng.uniform();
+  });
+  return out;
+}
+
+/// The configuration grid under a phase grid.
+Grid confGridOf(const BasisSpec& spec, const Grid& pg) {
+  Grid cg;
+  cg.ndim = spec.cdim;
+  for (std::size_t d = 0; d < static_cast<std::size_t>(spec.cdim); ++d) {
+    cg.cells[d] = pg.cells[d];
+    cg.lower[d] = pg.lower[d];
+    cg.upper[d] = pg.upper[d];
+  }
+  return cg;
+}
+
+/// Hashes the returned CFL frequency, then every interior rhs coefficient
+/// (cell odometer order), of one advance() of f with EM.
+void hashAdvance(const BasisSpec& spec, const Grid& pg, int lanes, Field& f, Field& em,
+                 Fnv1a& h) {
+  const int np = basisFor(spec).numModes();
+  VlasovUpdater up(spec, pg, VlasovParams{});
+  up.setBatchLanes(lanes);
+  for (int d = 0; d < spec.cdim; ++d) {
+    f.syncPeriodic(d);
+    em.syncPeriodic(d);
+  }
+  Field rhs(pg, np);
+  h.add(up.advance(f, &em, rhs));
+  forEachCell(pg, [&](const MultiIndex& idx) {
+    const double* c = rhs.at(idx);
+    for (int l = 0; l < np; ++l) h.add(c[l]);
+  });
+}
+
+/// FNV-1a digest of one advance() with EM on a splitmix64-seeded f and
+/// field (hashAdvance).
 std::uint64_t advanceDigest(const BasisSpec& spec, int lanes) {
   // Distinct extents per dimension, and counts that leave remainders at
   // B = 4 and B = 8 in both the velocity boxes and the face lines.
@@ -472,47 +525,93 @@ std::uint64_t advanceDigest(const BasisSpec& spec, int lanes) {
     pg.lower[ds] = d < spec.cdim ? 0.0 : -3.7;
     pg.upper[ds] = d < spec.cdim ? 2.0 + d : 4.1;
   }
-  Grid cg;
-  cg.ndim = spec.cdim;
-  for (std::size_t d = 0; d < static_cast<std::size_t>(spec.cdim); ++d) {
-    cg.cells[d] = pg.cells[d];
-    cg.lower[d] = pg.lower[d];
-    cg.upper[d] = pg.upper[d];
-  }
-  const auto seeded = [](const Grid& g, int ncomp, std::uint64_t seed) {
-    Field out(g, ncomp);
-    SplitMix64 rng{seed};
-    forEachCell(g, [&](const MultiIndex& idx) {
-      double* c = out.at(idx);
-      for (int k = 0; k < ncomp; ++k) c[k] = rng.uniform();
-    });
-    return out;
-  };
   const int np = basisFor(spec).numModes();
   const int npc = basisFor(spec.configSpec()).numModes();
-  VlasovUpdater up(spec, pg, VlasovParams{});
-  up.setBatchLanes(lanes);
-  Field f = seeded(pg, np, 1);
-  Field em = seeded(cg, kEmComps * npc, 2);
-  for (int d = 0; d < spec.cdim; ++d) {
-    f.syncPeriodic(d);
-    em.syncPeriodic(d);
-  }
-  Field rhs(pg, np);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto add = [&h](double x) {
-    const auto u = std::bit_cast<std::uint64_t>(x);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffU;
-      h *= 0x100000001b3ULL;
+  Field f = seededField(pg, np, 1);
+  Field em = seededField(confGridOf(spec, pg), kEmComps * npc, 2);
+  Fnv1a h;
+  hashAdvance(spec, pg, lanes, f, em, h);
+  return h.h;
+}
+
+/// FNV-1a digest of inputs that reach the edge cases of the penalty bound
+/// tau = max(tauL, tauR) of the generated surface kernels:
+///  - every velocity dimension has an odd cell count centred on v = 0, so
+///    the middle cell's streaming bound ties, |wv - hdv| == |wv + hdv|;
+///  - the EM field vanishes in every third configuration cell, so alpha
+///    is zero on both sides of every velocity face there and both bounds
+///    are +0; B vanishes in the next, so alpha_j is E_j alone;
+///  - direct accelSurf calls with alpha zero on one side of the face, the
+///    other side, and both (an updater never produces the one-sided case:
+///    alpha_j does not depend on v_j, so both cells of a v_j face carry
+///    the same expansion).
+/// Kernels run at `lanes` (0: the widest set); every lane count must give
+/// the same digest.
+std::uint64_t tieZeroDigest(const BasisSpec& spec, int lanes) {
+  static const int kConf[4][3] = {{}, {5}, {3, 4}, {3, 2, 2}};
+  static const int kVel[4][3] = {{}, {5}, {5, 3}, {3, 5, 3}};
+  Grid pg;
+  pg.ndim = spec.ndim();
+  for (int d = 0; d < pg.ndim; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    const bool conf = d < spec.cdim;
+    pg.cells[ds] = conf ? kConf[spec.cdim][d] : kVel[spec.vdim][d - spec.cdim];
+    // dv = 1.5 exactly: the middle cell's centre lower + (n/2)*dv is 0.0.
+    pg.lower[ds] = conf ? 0.0 : -0.75 * pg.cells[ds];
+    pg.upper[ds] = conf ? 2.0 + d : 0.75 * pg.cells[ds];
+    if (!conf) {
+      EXPECT_EQ(pg.cellCenter(d, pg.cells[ds] / 2), 0.0);
     }
-  };
-  add(up.advance(f, &em, rhs));
-  forEachCell(pg, [&](const MultiIndex& idx) {
-    const double* c = rhs.at(idx);
-    for (int l = 0; l < np; ++l) add(c[l]);
+  }
+  const int np = basisFor(spec).numModes();
+  const int npc = basisFor(spec.configSpec()).numModes();
+  const Grid cg = confGridOf(spec, pg);
+  Field f = seededField(pg, np, 3);
+  Field em = seededField(cg, kEmComps * npc, 4);
+  int c = 0;
+  forEachCell(cg, [&](const MultiIndex& idx) {
+    double* e = em.at(idx);
+    // Components are Ex,Ey,Ez,Bx,By,Bz,phi,psi, npc coefficients each.
+    if (c % 3 == 0) std::fill(e, e + kEmComps * npc, 0.0);
+    if (c % 3 == 1) std::fill(e + 3 * npc, e + 6 * npc, 0.0);
+    ++c;
   });
-  return h;
+  Fnv1a h;
+  hashAdvance(spec, pg, lanes, f, em, h);
+
+  const VlasovCompiledKernels* compiled = findCompiledKernels(spec.name());
+  EXPECT_NE(compiled, nullptr) << spec.name();
+  if (!compiled) return 0;
+  const int B = lanes == 0 ? compiled->maxLanes(spec.cdim, spec.vdim) : lanes;
+  const VlasovLaneKernels* k = compiled->forLanes(B, spec.cdim, spec.vdim);
+  EXPECT_NE(k, nullptr) << spec.name() << " B=" << B;
+  if (!k) return 0;
+  std::vector<double> dxv(static_cast<std::size_t>(spec.ndim()));
+  for (int d = 0; d < spec.ndim(); ++d) dxv[static_cast<std::size_t>(d)] = pg.dx(d);
+  // Eight faces per case (whole blocks at every lane count), each drawn
+  // from its own seed, so every lane count sees the same face data.
+  const auto n = static_cast<std::size_t>(np) * static_cast<std::size_t>(B);
+  for (int j = 0; j < spec.vdim; ++j)
+    for (const int zeroSides : {1, 2, 3})  // bit 0: al == 0, bit 1: ar == 0
+      for (int b0 = 0; b0 < 8; b0 += B) {
+        std::vector<double> blk[6];  // al, ar, fl, fr, outl, outr
+        for (auto& v : blk) v.assign(n, 0.0);
+        for (int b = 0; b < B; ++b) {
+          SplitMix64 rng{static_cast<std::uint64_t>(100 * j + 10 * zeroSides + b0 + b)};
+          for (int a = 0; a < 4; ++a)
+            for (int i = 0; i < np; ++i) {
+              const double x = rng.uniform();
+              if (a >= 2 || !(zeroSides & (1 << a)))
+                blk[a][static_cast<std::size_t>(i * B + b)] = x;
+            }
+        }
+        k->accelSurf[j](dxv.data(), blk[0].data(), blk[1].data(), blk[2].data(), blk[3].data(),
+                        blk[4].data(), blk[5].data());
+        for (int b = 0; b < B; ++b)
+          for (int a = 4; a < 6; ++a)
+            for (int i = 0; i < np; ++i) h.add(blk[a][static_cast<std::size_t>(i * B + b)]);
+      }
+  return h.h;
 }
 
 TEST(Batch, AdvanceDigestsMatchTheRetiredScalarKernels) {
@@ -547,6 +646,40 @@ TEST(Batch, AdvanceDigestsMatchTheRetiredScalarKernels) {
       EXPECT_EQ(advanceDigest(spec, lanes), expected)
           << spec.name() << " lanes=" << lanes << std::hex << " got 0x"
           << advanceDigest(spec, lanes);
+}
+
+TEST(Batch, TieAndZeroPenaltyDigestsMatchTheFmaxKernels) {
+  // Recorded with the kernels that rendered tau as std::fmax(tauL, tauR)
+  // (batch lanes 1 and auto gave the same digests); the std::max-order
+  // select must reproduce them bit for bit on ties and zero bounds.
+  const std::pair<BasisSpec, std::uint64_t> pinned[] = {
+      {{1, 1, 1, BasisFamily::Tensor}, 0x6e847ca6da6d5c36ULL},
+      {{1, 1, 2, BasisFamily::Tensor}, 0xdae06d185b55acc2ULL},
+      {{1, 1, 2, BasisFamily::Serendipity}, 0x679d1a8dd9d19ea0ULL},
+      {{1, 1, 3, BasisFamily::Serendipity}, 0x3fdfcb23eec3193cULL},
+      {{1, 1, 3, BasisFamily::Tensor}, 0x4d2be9ad36aaa4d9ULL},
+      {{1, 2, 1, BasisFamily::Tensor}, 0x2585c385304599a9ULL},
+      {{1, 2, 1, BasisFamily::Serendipity}, 0x2585c385304599a9ULL},
+      {{1, 2, 2, BasisFamily::Serendipity}, 0x2a4e1ed9aa94d3ddULL},
+      {{1, 2, 2, BasisFamily::Tensor}, 0x4ba2496b7a8d1226ULL},
+      {{1, 2, 3, BasisFamily::Serendipity}, 0x4b788fd0fa4d6f60ULL},
+      {{1, 3, 1, BasisFamily::Serendipity}, 0x7b6627bf110df789ULL},
+      {{1, 3, 1, BasisFamily::Tensor}, 0x7b6627bf110df789ULL},
+      {{1, 3, 2, BasisFamily::Serendipity}, 0x568b9ef83c822a09ULL},
+      {{2, 2, 1, BasisFamily::Serendipity}, 0xe758587c3fd7bb62ULL},
+      {{2, 2, 1, BasisFamily::Tensor}, 0xe758587c3fd7bb62ULL},
+      {{2, 2, 2, BasisFamily::Serendipity}, 0xad0c1e7f3c01277fULL},
+      {{2, 3, 1, BasisFamily::Serendipity}, 0x9d1fc03c21f8021ULL},
+      {{2, 3, 1, BasisFamily::Tensor}, 0x9d1fc03c21f8021ULL},
+      {{2, 3, 2, BasisFamily::Serendipity}, 0x89c10f9434478801ULL},
+      {{3, 3, 1, BasisFamily::Serendipity}, 0x229771e36944a52aULL},
+      {{3, 3, 1, BasisFamily::MaximalOrder}, 0x347e711725a3a4fcULL},
+  };
+  for (const auto& [spec, expected] : pinned)
+    for (const int lanes : {1, 0})
+      EXPECT_EQ(tieZeroDigest(spec, lanes), expected)
+          << spec.name() << " lanes=" << lanes << std::hex << " got 0x"
+          << tieZeroDigest(spec, lanes);
 }
 
 // ------------------------------------------ updater-level identity (LBO)

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <random>
+#include <span>
 
 #include "grid/grid.hpp"
 
@@ -119,6 +122,37 @@ TEST(Field, LinearAlgebraHelpers) {
   EXPECT_DOUBLE_EQ(c.at(i0)[0], 1.0);
   c.copyFrom(a);
   EXPECT_DOUBLE_EQ(c.at(i0)[1], 2.0);
+}
+
+TEST(Field, Lincomb3MatchesCombineThenAxpyBitwise) {
+  // The fused RK stage update must round exactly like the two passes it
+  // replaced, also when the output aliases an input (u = a*u + b*v + c*k).
+  const Grid g = Grid::make({5, 3}, {0.0, -1.0}, {1.0, 1.0});
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const auto randomField = [&] {
+    Field f(g, 3);
+    for (double& v : f.raw()) v = u(rng);
+    return f;
+  };
+  const Field x = randomField(), y = randomField(), z = randomField();
+  const double dt = 0.0137;
+  for (const auto& [a, b, c] :
+       {std::array{1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0 * dt}, std::array{0.75, 0.25, 0.25 * dt},
+        std::array{0.5, 0.5, 0.5 * dt}}) {
+    Field twoPass(g, 3), fused(g, 3);
+    twoPass.combine(a, x, b, y);
+    twoPass.axpy(c, z);
+    fused.lincomb3(a, x, b, y, c, z);
+    Field inPlace(g, 3);
+    inPlace.copyFrom(x);
+    inPlace.lincomb3(a, inPlace, b, y, c, z);
+    const std::span<const double> ref = twoPass.raw();
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(fused.raw()[i], ref[i]) << i;
+      ASSERT_EQ(inPlace.raw()[i], ref[i]) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <numbers>
 #include <random>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dg/vlasov.hpp"
 #include "kernels/registry.hpp"
+#include "tensors/emit.hpp"
 
 namespace vdg {
 namespace {
@@ -185,6 +189,37 @@ TEST(CompiledKernels, GeneratedSpecListCoversTheRegistry) {
   // The fake entry DuplicateRegistrationIsCountedAndLastWins registers.
   std::erase(registered, "0x0v_p0_test");
   EXPECT_EQ(listed, registered);
+}
+
+TEST(CompiledKernels, EmittedBodiesCallNoFunctionButFabs) {
+  // A library call in a lane loop (std::fmax, std::max, std::sqrt, ...)
+  // makes the compiler scalarize the whole kernel, one call per lane;
+  // std::fabs alone compiles to a sign-bit mask.
+  for (const BasisSpec& spec : kGeneratedSpecs) {
+    std::istringstream tu(emitKernelTranslationUnit(spec));
+    std::set<std::string> called;
+    int kernels = 0;
+    bool inKernel = false;
+    for (std::string line; std::getline(tu, line);) {
+      if (line.rfind("void vlasov_", 0) == 0) {
+        inKernel = true;
+        ++kernels;
+        continue;
+      }
+      if (line == "}") inKernel = false;
+      if (!inKernel) continue;
+      // Every identifier (with :: qualifiers) directly before a '('.
+      for (std::size_t p = line.find('('); p != std::string::npos; p = line.find('(', p + 1)) {
+        std::size_t b = p;
+        while (b > 0 && (std::isalnum(static_cast<unsigned char>(line[b - 1])) ||
+                         line[b - 1] == '_' || line[b - 1] == ':'))
+          --b;
+        if (b < p) called.insert(line.substr(b, p - b));
+      }
+    }
+    EXPECT_EQ(kernels, 2 + spec.cdim + spec.vdim) << spec.name();
+    EXPECT_EQ(called, std::set<std::string>{"std::fabs"}) << spec.name();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Specs, CompiledBySpec, ::testing::ValuesIn(kGeneratedSpecs),
